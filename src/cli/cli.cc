@@ -8,11 +8,13 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "clustersim/scheduler.h"
 #include "obs/analyze.h"
@@ -33,7 +35,6 @@
 #include "predict/predictor.h"
 #include "profiler/bottleneck_report.h"
 #include "runtime/parallel.h"
-#include "sim/sharded_engine.h"
 #include "stats/table.h"
 #include "testbed/training_sim.h"
 #include "trace/synthetic_cluster.h"
@@ -113,6 +114,33 @@ struct Args
     }
 };
 
+/**
+ * Every flag name some command reads, sorted. parseArgs() rejects
+ * any other name, so a typo (--polcy) fails instead of silently
+ * running with the default.
+ */
+constexpr std::string_view kKnownFlags[] = {
+    "admit", "arch", "arrival", "autoscale", "batch", "batching",
+    "beam", "cnodes", "comm", "compare-fifo", "dense-weights",
+    "embedding-weights", "flops", "format", "gpu-mem", "hetero",
+    "history", "input", "job-log", "job-trace", "jobs", "limit",
+    "max-batch", "max-servers", "mem", "metrics", "metrics-format",
+    "nvlink-frac", "out", "passes", "placement", "plot", "policy",
+    "port", "predictor", "profile", "qps", "quantile", "rate",
+    "requests", "routing", "search", "seed", "servers", "slo-ms",
+    "target", "threads", "timeline", "timeline-format",
+    "timeline-interval", "tolerance", "top", "trace-format",
+};
+static_assert(std::is_sorted(std::begin(kKnownFlags),
+                             std::end(kKnownFlags)));
+
+bool
+isKnownFlag(std::string_view name)
+{
+    return std::binary_search(std::begin(kKnownFlags),
+                              std::end(kKnownFlags), name);
+}
+
 /** Flags that may appear bare, without a value. */
 bool
 isValuelessFlag(const std::string &name)
@@ -125,7 +153,8 @@ isValuelessFlag(const std::string &name)
 /**
  * Split args into flags and positionals. Flags take their value
  * either as the next argument (--name value) or inline
- * (--name=value); valueless flags record an empty value.
+ * (--name=value); valueless flags record an empty value. A name
+ * outside kKnownFlags is an error.
  */
 std::optional<Args>
 parseArgs(const std::vector<std::string> &raw, std::ostream &err)
@@ -135,8 +164,13 @@ parseArgs(const std::vector<std::string> &raw, std::ostream &err)
         if (raw[i].rfind("--", 0) == 0) {
             std::string body = raw[i].substr(2);
             auto eq = body.find('=');
+            std::string name = body.substr(0, eq);
+            if (!isKnownFlag(name)) {
+                err << "error: unknown flag --" << name << "\n";
+                return std::nullopt;
+            }
             if (eq != std::string::npos) {
-                a.flags[body.substr(0, eq)] = body.substr(eq + 1);
+                a.flags[name] = body.substr(eq + 1);
             } else if (isValuelessFlag(body)) {
                 a.flags.emplace(body, "");
             } else if (i + 1 >= raw.size()) {
@@ -170,7 +204,8 @@ printUsage(std::ostream &out)
            "  paichar advise --flops F --mem M --input I --comm C\n"
            "                 [--dense-weights D] "
            "[--embedding-weights E]\n"
-           "                 [--cnodes N] [--gpu-mem BYTES]\n"
+           "                 [--cnodes N] [--batch B] "
+           "[--gpu-mem BYTES]\n"
            "  paichar diagnose MODEL\n"
            "  paichar plan MODEL [--search exhaustive|beam] "
            "[--top K] [--beam W]\n"
@@ -232,9 +267,9 @@ printUsage(std::ostream &out)
            "optional admission control and\na reactive autoscaler); "
            "capacity bisects the smallest fleet that holds\na p99 "
            "SLO at the offered load. Both are byte-identical for "
-           "every\n--threads/--shards setting. --autoscale slo "
-           "scales on the trailing\nwindow's p99 latency against "
-           "--slo-ms instead of queue depth.\n"
+           "every\n--threads setting. --autoscale slo scales on the "
+           "trailing window's p99\nlatency against --slo-ms instead "
+           "of queue depth.\n"
            "\n"
            "TRACE files may be CSV or paib binary; the format is "
            "auto-detected.\ngenerate and convert infer the output "
@@ -242,10 +277,8 @@ printUsage(std::ostream &out)
            "unless --trace-format is given.\n"
            "\n"
            "Every command accepts --threads N (default: "
-           "$PAICHAR_THREADS, else all\nhardware threads; 1 = serial) "
-           "and --shards K (default: $PAICHAR_SHARDS,\nelse 1) to "
-           "shard the discrete-event engine by server domain.\n"
-           "Outputs are identical for every N and K.\n"
+           "$PAICHAR_THREADS, else all\nhardware threads; 1 = "
+           "serial). Outputs are identical for every N.\n"
            "\n"
            "Observability (never touches stdout):\n"
            "  --metrics[=FILE]  write the metric summary to FILE "
@@ -277,7 +310,9 @@ printUsage(std::ostream &out)
            "timeline diff gates per-series\nmean/max/last scalars "
            "like obs diff.\n"
            "\n"
-           "Flags may be written --flag VALUE or --flag=VALUE.\n";
+           "Flags take their value as the next argument or after "
+           "'=' (--seed 7 or\n--seed=7). An unknown flag is an "
+           "error.\n";
 }
 
 std::optional<std::vector<TrainingJob>>
@@ -1238,7 +1273,7 @@ cmdObs(const Args &args, std::ostream &out, std::ostream &err)
                 err << "error: " << path << ": " << d.error << "\n";
                 return std::nullopt;
             }
-            return std::move(d);
+            return d;
         };
 
         // `obs timeline diff A B` compares per-series scalars with
@@ -1418,15 +1453,6 @@ run(const std::vector<std::string> &args, std::ostream &out,
                 return 1;
             }
             runtime::setThreadCount(static_cast<int>(t));
-        }
-        if (parsed->flag("shards")) {
-            double k = parsed->numFlag("shards", 0);
-            if (k < 1 || k != std::floor(k)) {
-                err << "error: --shards expects a positive "
-                       "integer\n";
-                return 1;
-            }
-            sim::setShardCount(static_cast<int>(k));
         }
 
         auto metrics_dest = parsed->flag("metrics");

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "obs/obs.h"
+#include "obs/timeline.h"
 
 namespace paichar::sim {
 
@@ -38,6 +39,24 @@ simTimeGauge()
 {
     static obs::Gauge &g = obs::gauge("sim.time_us");
     return g;
+}
+
+/**
+ * The `sim.events` timeline rate, resolved once per timeline
+ * generation and registered by the first drain that sees the
+ * timeline recording. Only the driving thread touches it.
+ */
+obs::Timeline::Rate &
+timelineEvents()
+{
+    static uint64_t gen = 0;
+    static obs::Timeline::Rate *events = nullptr;
+    uint64_t now_gen = obs::timelineGeneration();
+    if (events == nullptr || gen != now_gen) {
+        gen = now_gen;
+        events = &obs::timeline()->rate("sim.events");
+    }
+    return *events;
 }
 
 /** Heap ordering: the earliest (when, seq) pair at the top. */
@@ -316,13 +335,36 @@ EventQueue::executeTop()
     fn();
 }
 
+void
+EventQueue::drainTimed(SimTime until)
+{
+    obs::Timeline &tl = *obs::timeline();
+    obs::Timeline::Rate &events = timelineEvents();
+    while (refillFront()) {
+        SimTime t = front_.front().when;
+        if (t > until)
+            break;
+        tl.advanceTo(t);
+        uint64_t before = executed_;
+        while (refillFront() && front_.front().when <= t)
+            executeTop();
+        events.add(static_cast<double>(executed_ - before));
+    }
+    if (std::isfinite(until))
+        tl.advanceTo(until);
+}
+
 SimTime
 EventQueue::run()
 {
     obs::Span span("sim.run");
     uint64_t before = executed_;
-    while (refillFront())
-        executeTop();
+    if (obs::timelineActive()) {
+        drainTimed(kInf);
+    } else {
+        while (refillFront())
+            executeTop();
+    }
     finishDrain(span, executed_ - before);
     return now_;
 }
@@ -330,25 +372,25 @@ EventQueue::run()
 SimTime
 EventQueue::runUntil(SimTime until)
 {
+    // A poll with nothing due only moves the clock. It opens no span,
+    // so a control loop that polls at every arrival does not flood
+    // the profile.
+    if (nextEventTime() > until) {
+        if (obs::timelineActive())
+            drainTimed(until);
+        advanceTo(until);
+        return now_;
+    }
     obs::Span span("sim.run_until");
     uint64_t before = executed_;
-    while (refillFront() && front_.front().when <= until)
-        executeTop();
+    if (obs::timelineActive()) {
+        drainTimed(until);
+    } else {
+        while (refillFront() && front_.front().when <= until)
+            executeTop();
+    }
     if (now_ < until)
         now_ = until;
-    finishDrain(span, executed_ - before);
-    return now_;
-}
-
-SimTime
-EventQueue::runBefore(SimTime bound)
-{
-    obs::Span span("sim.run_before");
-    uint64_t before = executed_;
-    while (refillFront() && front_.front().when < bound)
-        executeTop();
-    if (now_ < bound)
-        now_ = bound;
     finishDrain(span, executed_ - before);
     return now_;
 }

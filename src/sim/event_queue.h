@@ -24,6 +24,12 @@
  *
  * The exact (when, seq) execution order of the classic single-heap
  * implementation is preserved; see tests/sim/event_queue_test.cc.
+ *
+ * While a timeline records (obs/timeline.h), run() and runUntil()
+ * drain one distinct timestamp at a time: they close every window
+ * ending at or before t, then add the events run at t to the
+ * `sim.events` rate, so the series' rows sum to
+ * `sim.events_executed`.
  */
 
 #ifndef PAICHAR_SIM_EVENT_QUEUE_H
@@ -87,15 +93,6 @@ class EventQueue
     SimTime runUntil(SimTime until);
 
     /**
-     * Run events with time strictly < @p bound; now() advances to
-     * @p bound afterwards (if beyond it already, it stays put). This
-     * is the conservative-window drain primitive of the sharded
-     * engine: the caller guarantees no event earlier than @p bound
-     * can still be delivered to this queue.
-     */
-    SimTime runBefore(SimTime bound);
-
-    /**
      * Earliest pending event time; +infinity when empty. Amortized
      * O(1) (may migrate handles between internal levels, hence
      * non-const).
@@ -104,9 +101,7 @@ class EventQueue
 
     /**
      * Advance now() to @p t without executing events (no-op when
-     * t <= now()). The sharded engine commits synchronized round
-     * boundaries with this so every shard agrees on the clock even
-     * when a round executed nothing locally.
+     * t <= now()).
      */
     void advanceTo(SimTime t);
 
@@ -134,6 +129,13 @@ class EventQueue
 
     /** Pop and execute the earliest event (front must be non-empty). */
     void executeTop();
+
+    /**
+     * Drain events with time <= @p until one distinct timestamp at
+     * a time, attributing each batch to the process-wide timeline's
+     * `sim.events` rate (see the file comment).
+     */
+    void drainTimed(SimTime until);
 
     /** Record per-drain obs metrics and close the drain span. */
     void finishDrain(obs::Span &span, uint64_t executed_delta);

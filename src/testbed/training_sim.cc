@@ -101,7 +101,6 @@ TrainingSimulator::run(const OpGraph &graph, const WorkloadFeatures &f,
     tc.efficiency = eff;
     tc.kernel_launch_overhead = opts_.kernel_launch_overhead;
     tc.nvlink_links_per_gpu = opts_.nvlink_links_per_gpu;
-    tc.num_shards = opts_.num_shards;
     // Centralized local training shares the host PCIe root; other
     // placements use dedicated links (contention is folded into the
     // measured PCIe efficiency, Sec IV).
@@ -292,7 +291,6 @@ TrainingSimulator::runPipelined(const workload::CaseStudyModel &model,
     tc.efficiency = eff;
     tc.kernel_launch_overhead = opts_.kernel_launch_overhead;
     tc.nvlink_links_per_gpu = opts_.nvlink_links_per_gpu;
-    tc.num_shards = opts_.num_shards;
     tc.shared_pcie = arch == ArchType::OneWorkerMultiGpu;
     const int gps = tc.cluster.server.gpus_per_server;
     bool one_per_server = arch == ArchType::PsWorker;
@@ -302,7 +300,6 @@ TrainingSimulator::runPipelined(const workload::CaseStudyModel &model,
     sim::ClusterSim cluster(tc);
     auto group = one_per_server ? cluster.gpuGroupOnePerServer(n)
                                 : cluster.gpuGroup(n);
-    sim::EventQueue &eq = cluster.eventQueue();
     auto strategy = collectives::makeStrategy(arch);
 
     // Precompute per-kernel service times once.
@@ -406,7 +403,7 @@ TrainingSimulator::runPipelined(const workload::CaseStudyModel &model,
     // Timeline: replay step completions in step order. The drain's
     // internal event order depends on queue internals, but
     // step_finish is a pure function of the inputs, so replaying it
-    // afterwards gives thread/shard-independent rows.
+    // afterwards gives thread-independent rows.
     if (obs::timelineActive()) {
         obs::Timeline *tl = obs::timeline();
         obs::Timeline::Rate &steps_rate =

@@ -8,9 +8,14 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <fstream>
+#include <regex>
+#include <set>
 #include <sstream>
 
 #include "cli/cli.h"
+#include "obs/obs.h"
+#include "obs/timeline.h"
 
 namespace paichar::cli {
 namespace {
@@ -56,6 +61,42 @@ TEST(CliTest, FlagWithoutValueFails)
     auto r = runCli({"generate", "--jobs"});
     EXPECT_EQ(r.code, 1);
     EXPECT_NE(r.err.find("expects a value"), std::string::npos);
+}
+
+// Every --flag the usage text spells is one some command reads, so
+// the unknown-flag check accepts it; the unknown command then fails
+// on its own. A misspelled or retired flag fails with a one-line
+// error before any command runs.
+TEST(CliTest, UsageFlagsAreAcceptedAndUnknownFlagsFail)
+{
+    std::string usage = runCli({"help"}).out;
+    std::set<std::string> names;
+    std::regex flag_re("--([a-z][a-z0-9-]*)");
+    for (std::sregex_iterator it(usage.begin(), usage.end(), flag_re),
+         end;
+         it != end; ++it)
+        names.insert((*it)[1].str());
+    EXPECT_GE(names.size(), 40u);
+    for (const std::string &name : names) {
+        auto r = runCli({"frobnicate", "--" + name + "=x"});
+        EXPECT_EQ(r.code, 1) << name;
+        EXPECT_EQ(r.err.find("error: unknown flag"), std::string::npos)
+            << name << ": " << r.err;
+    }
+
+    // A typo and the retired engine-shard flag, in both spellings.
+    for (std::string name : {"polcy", "shards"}) {
+        for (std::vector<std::string> args :
+             {std::vector<std::string>{"schedule", "t.csv",
+                                       "--" + name, "4"},
+              std::vector<std::string>{"schedule", "t.csv",
+                                       "--" + name + "=4"}}) {
+            auto r = runCli(args);
+            EXPECT_EQ(r.code, 1) << args[2];
+            EXPECT_EQ(r.err, "error: unknown flag --" + name + "\n");
+            EXPECT_TRUE(r.out.empty()) << args[2];
+        }
+    }
 }
 
 TEST(CliTest, NonNumericFlagValueFails)
@@ -520,6 +561,50 @@ TEST_F(CliWithTraceTest, ScheduleHistoryPredictorsRequireHistory)
     auto q = runCli({"schedule", path_, "--quantile", "1.5"});
     EXPECT_EQ(q.code, 1);
     EXPECT_NE(q.err.find("--quantile"), std::string::npos) << q.err;
+}
+
+// The metrics agree with each other: the sim.events timeline rows
+// sum to the sim.events_executed counter, which counts one
+// completion per scheduled job, and the dump carries no series of
+// the retired sharded engine.
+TEST_F(CliWithTraceTest, ScheduleEventCountsAgreeAcrossTelemetry)
+{
+    obs::resetMetrics();
+    std::string timeline = path_ + ".timeline.csv";
+    std::string metrics = path_ + ".metrics.txt";
+    auto r = runCli({"schedule", path_, "--timeline", timeline,
+                     "--timeline-interval", "3600",
+                     "--metrics=" + metrics});
+    ASSERT_EQ(r.code, 0) << r.err;
+    ASSERT_NE(r.out.find("scheduled 2000 jobs"), std::string::npos);
+
+    std::ifstream tf(timeline);
+    std::stringstream tl_text;
+    tl_text << tf.rdbuf();
+    obs::TimelineData tl = obs::loadTimelineCsv(tl_text.str());
+    ASSERT_TRUE(tl.ok) << tl.error;
+    ASSERT_TRUE(tl.series.count("sim.events"));
+    double timeline_events = 0.0;
+    for (const auto &[end_s, value] : tl.series.at("sim.events"))
+        timeline_events += value;
+
+    std::ifstream mf(metrics);
+    std::string line;
+    double executed = -1.0;
+    while (std::getline(mf, line)) {
+        std::istringstream row(line);
+        std::string kind, name;
+        row >> kind >> name;
+        for (const char *retired : {"sim.shard", "sim.sync", "sim.cross"})
+            EXPECT_NE(name.rfind(retired, 0), 0u) << line;
+        if (kind == "counter" && name == "sim.events_executed")
+            row >> executed;
+    }
+    std::remove(timeline.c_str());
+    std::remove(metrics.c_str());
+
+    EXPECT_EQ(executed, 2000.0);
+    EXPECT_EQ(timeline_events, executed);
 }
 
 TEST_F(CliWithTraceTest, ScheduleCompareFifoReportsDelta)

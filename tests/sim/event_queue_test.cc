@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "obs/obs.h"
+#include "obs/timeline.h"
 #include "sim/event_queue.h"
 
 namespace paichar::sim {
@@ -72,28 +73,42 @@ TEST(EventQueueTest, RunUntilLeavesLaterEvents)
     EXPECT_DOUBLE_EQ(eq.runUntil(5.0), 5.0);
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(eq.pending(), 1u);
+    // Nothing due: only the clock moves.
+    EXPECT_DOUBLE_EQ(eq.runUntil(7.0), 7.0);
+    EXPECT_EQ(eq.pending(), 1u);
     eq.run();
     EXPECT_EQ(fired, 2);
+}
+
+// While a timeline records, the drain attributes the events run at
+// each timestamp to that timestamp's window, and still stops when
+// the queue empties.
+TEST(EventQueueTest, TimelineCountsEventsPerWindow)
+{
+    obs::resetMetrics();
+    obs::startTimeline(1.0);
+    EventQueue eq;
+    eq.schedule(0.5, [] {});
+    eq.schedule(0.5, [&] { eq.schedule(2.5, [] {}); });
+    eq.runUntil(1.5);
+    eq.run();
+    obs::stopTimeline();
+
+    std::vector<std::pair<double, double>> got;
+    for (const obs::TimelineRow &row : obs::timeline()->rows()) {
+        if (row.series == "sim.events")
+            got.emplace_back(row.end_s, row.value);
+    }
+    std::vector<std::pair<double, double>> want = {
+        {1.0, 2.0}, {2.0, 0.0}, {3.0, 1.0}};
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(obs::counter("sim.events_executed").value(), 3);
 }
 
 TEST(EventQueueTest, EmptyRunReturnsNow)
 {
     EventQueue eq;
     EXPECT_DOUBLE_EQ(eq.run(), 0.0);
-}
-
-TEST(EventQueueTest, RunBeforeExcludesTheBound)
-{
-    EventQueue eq;
-    int fired = 0;
-    eq.schedule(1.0, [&] { ++fired; });
-    eq.schedule(2.0, [&] { ++fired; });
-    EXPECT_DOUBLE_EQ(eq.runBefore(2.0), 2.0);
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(eq.pending(), 1u);
-    EXPECT_DOUBLE_EQ(eq.nextEventTime(), 2.0);
-    eq.run();
-    EXPECT_EQ(fired, 2);
 }
 
 TEST(EventQueueTest, NextEventTimeAndAdvanceTo)
@@ -189,7 +204,7 @@ TEST(EventQueueTest, RandomizedOrderMatchesReferenceSort)
         // Partial drains at a few cut points, then events that
         // schedule follow-ups past the current time.
         eq.runUntil(250.0);
-        eq.runBefore(500.0);
+        eq.runUntil(500.0);
         for (int i = 0; i < 500; ++i) {
             double when = 500.0 + dist(rng) / 2.0;
             int id = next_id++;

@@ -81,6 +81,18 @@ struct TableVRow
     double batch, flops, mem, memcpy_bytes, network;
 };
 
+/**
+ * Print a row by its model name. Without this gtest dumps the raw
+ * bytes, and the `name` pointer's bytes change with every load
+ * address, so the discovered test names would change from build to
+ * build.
+ */
+void
+PrintTo(const TableVRow &row, std::ostream *os)
+{
+    *os << row.name;
+}
+
 class TableVProperty : public ::testing::TestWithParam<TableVRow>
 {
 };
