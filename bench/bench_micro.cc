@@ -22,8 +22,8 @@
  * against the arena/ladder EventQueue on an 8M-event drain (recorded
  * in BENCH_sim_engine.json). A sixth
  * serving section records simulated-requests-per-second of the seed
- * single-server simulator against the fleet event loop
- * (BENCH_serving.json).
+ * single-server loop (testkit's reference) against the fleet event
+ * loop (BENCH_serving.json).
  */
 
 #include <benchmark/benchmark.h>
@@ -49,7 +49,6 @@
 #include "core/projection.h"
 #include "inference/fleet_sim.h"
 #include "inference/inference_workload.h"
-#include "inference/serving_sim.h"
 #include "obs/job_log.h"
 #include "obs/obs.h"
 #include "obs/timeline.h"
@@ -60,6 +59,7 @@
 #include "runtime/parallel.h"
 #include "sim/event_queue.h"
 #include "testbed/training_sim.h"
+#include "testkit/fleet_oracle.h"
 #include "trace/binary_trace.h"
 #include "trace/synthetic_cluster.h"
 #include "trace/trace_io.h"
@@ -549,7 +549,8 @@ runObsInstrumentationOverheadSection()
     constexpr int kReps = 5;
     int threads = runtime::threadCount();
 
-    // --- serving-sim: span + counters added in src/inference ---
+    // --- serving: the 1-server fleet's per-request latency
+    // histogram, run span and counters ---
     {
         int64_t requests_n = 200000;
         if (const char *env =
@@ -561,11 +562,11 @@ runObsInstrumentationOverheadSection()
         }
         auto model = workload::ModelZoo::all().front();
         auto w = inference::InferenceWorkload::fromTraining(model);
-        inference::ServingSimulator sim(
-            inference::ServingConfig{});
-        double qps = 5000.0;
+        inference::FleetSimulator sim{inference::FleetConfig{}};
+        stats::ArrivalConfig arrival;
+        arrival.qps = 5000.0;
 
-        std::printf("# obs-overhead: serving sim, %lld requests, "
+        std::printf("# obs-overhead: 1-server fleet, %lld requests, "
                     "best of %d reps\n",
                     static_cast<long long>(requests_n), kReps);
         struct Mode
@@ -587,7 +588,7 @@ runObsInstrumentationOverheadSection()
                 if (mode.profiling)
                     obs::startProfiling();
                 auto t0 = std::chrono::steady_clock::now();
-                auto r = sim.run(w, qps, requests_n, 42);
+                auto r = sim.run({{w, arrival}}, requests_n, 42);
                 benchmark::DoNotOptimize(r.throughput);
                 auto t1 = std::chrono::steady_clock::now();
                 if (mode.profiling)
@@ -971,11 +972,12 @@ runSimEngineSection()
 
 /**
  * Serving section: simulated-requests-per-wall-second of the seed
- * single-server simulator against the fleet event loop at 1 and 4
- * servers and both batching disciplines, over the same ResNet50
- * stream (the contents of BENCH_serving.json). The fleet1_greedy row
- * doubles as the overhead budget of the generalized loop (routing,
- * records, obs histogram) against the seed's array walk. Request
+ * single-server loop (testkit::referenceSingleServerRun) against the
+ * fleet event loop at 1 and 4 servers and both batching disciplines,
+ * over the same ResNet50 stream (the contents of BENCH_serving.json).
+ * The fleet1_greedy row doubles as the overhead budget of the
+ * generalized loop (routing, records, obs histogram) against the
+ * seed's array walk. Request
  * count defaults to 200k; override with
  * PAICHAR_SERVE_BENCH_REQUESTS for quick runs.
  */
@@ -1005,8 +1007,9 @@ runServingSection()
     std::vector<Row> rows = {
         {"seed_single",
          [&] {
-             inference::ServingSimulator sim;
-             return sim.run(w, 800.0, requests, 7).requests;
+             return testkit::referenceSingleServerRun(
+                        inference::FleetConfig{}, w, 800.0, requests, 7)
+                 .completed;
          }},
         {"fleet1_greedy",
          [&] {

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -30,7 +31,6 @@
 #include "core/sweep.h"
 #include "hw/units.h"
 #include "inference/fleet_sim.h"
-#include "inference/serving_sim.h"
 #include "opt/optimization_planner.h"
 #include "predict/predictor.h"
 #include "profiler/bottleneck_report.h"
@@ -859,19 +859,29 @@ struct FleetArgs
     stats::ArrivalConfig arrival;
     int64_t requests = 20000;
     double slo = 0.0;
+    /** Autoscaler ceiling and capacity-search bound. */
+    int max_servers = 64;
     /** Per-request cost at batch 1 (sets the default qps/slo). */
     double solo = 0.0;
 };
 
 /**
  * Parse the fleet flags (--servers, --routing, --batching,
- * --arrival, --admit, --autoscale, --max-batch, --qps, --slo-ms,
- * --requests) for @p w. Throws UsageError on malformed values.
+ * --arrival, --admit, --autoscale, --max-batch, --max-servers, --qps,
+ * --slo-ms, --requests) for @p w. Throws UsageError on malformed
+ * values, before the subcommand prints anything.
  */
 FleetArgs
 parseFleetArgs(const Args &args, const inference::InferenceWorkload &w)
 {
     FleetArgs f;
+    double max_servers = args.numFlag("max-servers", 64);
+    if (!(max_servers >= 1.0 &&
+          max_servers <= std::numeric_limits<int>::max()))
+        throw UsageError("error: flag --max-servers expects a value "
+                         ">= 1, got '" +
+                         *args.flag("max-servers") + "'");
+    f.max_servers = static_cast<int>(max_servers);
     f.cfg.num_servers = static_cast<int>(args.numFlag("servers", 1));
     f.cfg.max_batch = static_cast<int>(args.numFlag("max-batch", 8));
     f.cfg.routing = *inference::routingFromString(args.choiceFlag(
@@ -888,9 +898,8 @@ parseFleetArgs(const Args &args, const inference::InferenceWorkload &w)
         "autoscale", "0", {"0", "1", "queue", "slo"});
     if (autoscale != "0") {
         f.cfg.autoscaler.enabled = true;
-        f.cfg.autoscaler.max_servers = std::max(
-            f.cfg.num_servers,
-            static_cast<int>(args.numFlag("max-servers", 64)));
+        f.cfg.autoscaler.max_servers =
+            std::max(f.cfg.num_servers, f.max_servers);
         if (autoscale == "slo") {
             f.cfg.autoscaler.mode =
                 inference::AutoscalerConfig::Mode::SloLatency;
@@ -905,6 +914,10 @@ parseFleetArgs(const Args &args, const inference::InferenceWorkload &w)
     f.arrival.qps =
         args.numFlag("qps", 0.5 * f.cfg.num_servers / f.solo);
     f.slo = args.numFlag("slo-ms", 5.0 * f.solo * 1e3) * 1e-3;
+    if (!(f.slo > 0.0) || !std::isfinite(f.slo))
+        throw UsageError("error: flag --slo-ms expects a positive "
+                         "finite value, got '" +
+                         *args.flag("slo-ms") + "'");
     f.cfg.autoscaler.slo_latency = f.slo;
     f.requests =
         static_cast<int64_t>(args.numFlag("requests", 20000));
@@ -941,7 +954,10 @@ cmdServe(const Args &args, std::ostream &out, std::ostream &err)
         << stats::fmtPct(r.gpu_utilization) << ", avg batch "
         << stats::fmt(r.avg_batch, 2) << ", verdict "
         << inference::toString(r.verdict)
-        << (r.saturated ? "  [OVERLOAD]" : "") << "\n";
+        << (r.verdict == inference::OverloadVerdict::Saturated
+                ? "  [OVERLOAD]"
+                : "")
+        << "\n";
     if (f.cfg.admit_queue > 0) {
         out << "  admitted " << r.admitted << "/" << r.offered
             << " (" << r.rejected << " rejected at queue depth "
@@ -969,11 +985,8 @@ cmdServe(const Args &args, std::ostream &out, std::ostream &err)
         f.cfg.batching == inference::Batching::Greedy &&
         f.arrival.kind == stats::ArrivalKind::Constant &&
         f.cfg.admit_queue == 0) {
-        inference::ServingConfig scfg;
-        scfg.max_batch = f.cfg.max_batch;
-        inference::ServingSimulator sim(scfg);
-        double cap = sim.maxQpsUnderSlo(w, f.slo, 50.0 / f.solo,
-                                        20190701);
+        double cap = inference::maxQpsUnderSlo(
+            f.cfg, w, f.slo, 50.0 / f.solo, 20000, 20190701);
         out << "  max QPS under p99 <= " << stats::fmtSeconds(f.slo)
             << ": " << stats::fmt(cap, 0) << "\n";
     }
@@ -992,9 +1005,11 @@ cmdCapacity(const Args &args, std::ostream &out, std::ostream &err)
         return 1;
     auto w = inference::InferenceWorkload::fromTraining(*model);
     FleetArgs f = parseFleetArgs(args, w);
-    int max_servers =
-        static_cast<int>(args.numFlag("max-servers", 64));
 
+    // Search first, so a search that throws prints nothing.
+    auto n = inference::minServersForSlo(
+        f.cfg, {{w, f.arrival}}, f.slo, f.max_servers, f.requests,
+        20190701);
     out << "capacity: " << w.name << " @ "
         << stats::fmt(f.arrival.qps, 0) << " qps ("
         << stats::toString(f.arrival.kind) << " arrivals, "
@@ -1002,11 +1017,8 @@ cmdCapacity(const Args &args, std::ostream &out, std::ostream &err)
         << inference::toString(f.cfg.batching)
         << " batching, max batch " << f.cfg.max_batch
         << "), SLO p99 <= " << stats::fmtSeconds(f.slo) << "\n";
-    auto n = inference::minServersForSlo(
-        f.cfg, {{w, f.arrival}}, f.slo, max_servers, f.requests,
-        20190701);
     if (!n) {
-        out << "  not attainable within " << max_servers
+        out << "  not attainable within " << f.max_servers
             << " servers\n";
         return 0;
     }

@@ -64,7 +64,49 @@ enum EventKind
     kTick = 3,
 };
 
+/**
+ * Overload detection over latencies in completion order: under a
+ * stable queue late-run latencies match mid-run ones; in overload
+ * the backlog (and thus latency) grows without bound. Below the
+ * sample floor the heuristic has no signal, and the verdict says so
+ * instead of defaulting to "stable".
+ */
+OverloadVerdict
+judgeOverload(const std::vector<double> &latency_seq)
+{
+    size_t n = latency_seq.size();
+    if (n < static_cast<size_t>(kMinSaturationSamples))
+        return OverloadVerdict::Undersampled;
+    auto mean_range = [&](size_t lo, size_t hi) {
+        double acc = 0.0;
+        for (size_t j = lo; j < hi; ++j)
+            acc += latency_seq[j];
+        return acc / static_cast<double>(hi - lo);
+    };
+    // With a linearly growing backlog the tail-to-middle ratio
+    // approaches 1.8 (0.9n vs 0.5n of linear growth); a stable queue
+    // keeps it near 1. Split the difference.
+    double mid = mean_range(2 * n / 5, 3 * n / 5);
+    double tail = mean_range(4 * n / 5, n);
+    return tail > 1.45 * mid ? OverloadVerdict::Saturated
+                             : OverloadVerdict::Stable;
+}
+
 } // namespace
+
+const char *
+toString(OverloadVerdict v)
+{
+    switch (v) {
+    case OverloadVerdict::Stable:
+        return "stable";
+    case OverloadVerdict::Saturated:
+        return "saturated";
+    case OverloadVerdict::Undersampled:
+        return "undersampled";
+    }
+    return "?";
+}
 
 const char *
 toString(Routing r)
@@ -183,8 +225,10 @@ FleetSimulator::run(const std::vector<ModelLoad> &models,
         obs::counter("inference.fleet.batches");
     static obs::Counter &scale_ctr =
         obs::counter("inference.fleet.scale_events");
-    static obs::Histogram &latency_hist =
+    static obs::Histogram &latency_hist_ref =
         obs::histogram("inference.fleet.latency_us");
+    obs::Histogram *latency_hist =
+        cfg_.record_telemetry ? &latency_hist_ref : nullptr;
 
     // Merge the per-model streams into one time-ordered arrival
     // sequence. Stream 0 uses `seed` verbatim (the single-server
@@ -242,10 +286,10 @@ FleetSimulator::run(const std::vector<ModelLoad> &models,
 
     // Timeline probes: the loop advances the timeline to each event
     // time before processing it, so every sample lands in the window
-    // containing its event. record_timeline=false runs (capacity
-    // bisection probes) suspend the timeline entirely.
+    // containing its event. record_telemetry=false runs (SLO search
+    // probes) suspend the timeline entirely.
     std::optional<obs::TimelineSuspend> tl_suspend;
-    if (!cfg_.record_timeline)
+    if (!cfg_.record_telemetry)
         tl_suspend.emplace();
     obs::Timeline *tl =
         obs::timelineActive() ? obs::timeline() : nullptr;
@@ -347,7 +391,8 @@ FleetSimulator::run(const std::vector<ModelLoad> &models,
                 t - arrivals[static_cast<size_t>(id)].time;
             latencies.add(lat);
             latency_seq.push_back(lat);
-            latency_hist.observe(lat * 1e6);
+            if (latency_hist)
+                latency_hist->observe(lat * 1e6);
             if (tl_latency)
                 tl_latency->observe(lat * 1e6);
             if (slo_mode)
@@ -644,32 +689,15 @@ FleetSimulator::run(const std::vector<ModelLoad> &models,
                   static_cast<double>(total_batches)
             : 0.0;
 
-    // Same detector and sample floor as the single-server simulator
-    // (serving_sim.cc): explicit Undersampled below the floor.
-    size_t n = latency_seq.size();
-    if (n < static_cast<size_t>(kMinSaturationSamples)) {
-        result.verdict = OverloadVerdict::Undersampled;
-    } else {
-        auto mean_range = [&](size_t lo, size_t hi) {
-            double acc = 0.0;
-            for (size_t j = lo; j < hi; ++j)
-                acc += latency_seq[j];
-            return acc / static_cast<double>(hi - lo);
-        };
-        double mid = mean_range(2 * n / 5, 3 * n / 5);
-        double tail = mean_range(4 * n / 5, n);
-        result.verdict = tail > 1.45 * mid
-                             ? OverloadVerdict::Saturated
-                             : OverloadVerdict::Stable;
-    }
-    result.saturated =
-        result.verdict == OverloadVerdict::Saturated;
+    result.verdict = judgeOverload(latency_seq);
 
-    requests_ctr.add(static_cast<uint64_t>(result.offered));
-    rejected_ctr.add(static_cast<uint64_t>(result.rejected));
-    batches_ctr.add(static_cast<uint64_t>(total_batches));
-    scale_ctr.add(static_cast<uint64_t>(result.scale_ups +
-                                        result.scale_downs));
+    if (cfg_.record_telemetry) {
+        requests_ctr.add(static_cast<uint64_t>(result.offered));
+        rejected_ctr.add(static_cast<uint64_t>(result.rejected));
+        batches_ctr.add(static_cast<uint64_t>(total_batches));
+        scale_ctr.add(static_cast<uint64_t>(result.scale_ups +
+                                            result.scale_downs));
+    }
     return result;
 }
 
@@ -703,7 +731,7 @@ minServersForSlo(const FleetConfig &cfg,
         probe.num_servers = n;
         probe.autoscaler.enabled = false;
         probe.record_requests = false;
-        probe.record_timeline = false;
+        probe.record_telemetry = false;
         FleetResult r =
             FleetSimulator(probe).run(models, num_requests, seed);
         return r.verdict == OverloadVerdict::Stable &&
@@ -725,6 +753,60 @@ minServersForSlo(const FleetConfig &cfg,
             lo = mid;
     }
     return hi;
+}
+
+double
+maxQpsUnderSlo(const FleetConfig &cfg, const InferenceWorkload &workload,
+               double slo, double qps_hi, int64_t probe_requests,
+               uint64_t seed)
+{
+    if (!(slo > 0.0) || !std::isfinite(slo))
+        throw std::invalid_argument(
+            "maxQpsUnderSlo: slo must be positive and finite");
+    if (!(qps_hi > 1.0) || !std::isfinite(qps_hi))
+        throw std::invalid_argument(
+            "maxQpsUnderSlo: qps_hi must be > 1 and finite");
+    if (probe_requests < kMinSaturationSamples)
+        throw std::invalid_argument(
+            "maxQpsUnderSlo: probe_requests must be >= " +
+            std::to_string(kMinSaturationSamples) +
+            " (the saturation-detector sample floor), got " +
+            std::to_string(probe_requests));
+
+    obs::Span slo_span("inference.max_qps_under_slo");
+    static obs::Counter &probes_ctr =
+        obs::counter("inference.slo_probes");
+
+    FleetConfig probe = cfg;
+    probe.autoscaler.enabled = false;
+    probe.record_requests = false;
+    probe.record_telemetry = false;
+    const FleetSimulator sim(probe);
+    auto ok = [&](double qps) {
+        probes_ctr.add();
+        stats::ArrivalConfig arrival;
+        arrival.kind = stats::ArrivalKind::Constant;
+        arrival.qps = qps;
+        FleetResult r =
+            sim.run({{workload, arrival}}, probe_requests, seed);
+        // Only an explicit Stable verdict passes: Saturated and
+        // Undersampled both fail the probe.
+        return r.verdict == OverloadVerdict::Stable &&
+               r.p99_latency <= slo;
+    };
+    if (!ok(1.0))
+        return 0.0;
+    if (ok(qps_hi))
+        return qps_hi;
+    double lo = 1.0, hi = qps_hi;
+    for (int iter = 0; iter < 24; ++iter) {
+        double mid = 0.5 * (lo + hi);
+        if (ok(mid))
+            lo = mid;
+        else
+            hi = mid;
+    }
+    return lo;
 }
 
 } // namespace paichar::inference

@@ -12,8 +12,8 @@
  * arrivals are rejected and counted), and is served under one of two
  * batching disciplines:
  *
- *  - Greedy (the seed ServingSimulator's): when the GPU goes idle it
- *    takes up to max_batch queued requests *of one model* as a
+ *  - Greedy (the seed single-server loop's): when the GPU goes idle
+ *    it takes up to max_batch queued requests *of one model* as a
  *    single launch; everything in the launch completes together.
  *  - Continuous (iteration-level): items are served and complete
  *    individually, with the per-launch fixed cost (kernel launch +
@@ -32,12 +32,15 @@
  * per-stream RNGs, so results are byte-identical for every --threads
  * setting, like every other subcommand. A one-server
  * greedy fleet with a constant stream reproduces the seed
- * ServingSimulator byte-for-byte (pinned by the testkit fleet
- * oracle).
+ * single-server simulator byte-for-byte; that loop now lives only in
+ * testkit as the reference (testkit/fleet_oracle.h), and
+ * maxQpsUnderSlo() runs its SLO search on the fleet.
  *
  * Per-request latencies also flow into the obs histogram registry
  * (`inference.fleet.latency_us`), so p50/p99/p999 appear in
- * --metrics / OpenMetrics output for free.
+ * --metrics / OpenMetrics output for free. Search probes
+ * (minServersForSlo, maxQpsUnderSlo) run with record_telemetry off,
+ * so that telemetry describes only the run the user asked about.
  */
 
 #ifndef PAICHAR_INFERENCE_FLEET_SIM_H
@@ -50,10 +53,34 @@
 
 #include "hw/hardware_config.h"
 #include "inference/inference_workload.h"
-#include "inference/serving_sim.h"
 #include "stats/arrival.h"
 
 namespace paichar::inference {
+
+/**
+ * The saturation verdict of one serving run.
+ *
+ * The detector compares late-run latencies to mid-run ones (an
+ * unstable queue grows without bound, so the tail keeps climbing);
+ * that comparison needs a minimum sample count to mean anything.
+ * Runs shorter than kMinSaturationSamples report Undersampled — an
+ * explicit "cannot judge", never a silent "stable".
+ */
+enum class OverloadVerdict
+{
+    /** Enough samples, queue stable. */
+    Stable,
+    /** Enough samples, backlog growing without bound. */
+    Saturated,
+    /** Too few completions to judge (< kMinSaturationSamples). */
+    Undersampled,
+};
+
+/** CLI/report spelling ("stable" | "saturated" | "undersampled"). */
+const char *toString(OverloadVerdict v);
+
+/** Minimum completions the saturation detector needs to judge. */
+inline constexpr int64_t kMinSaturationSamples = 100;
 
 /** Request-to-server routing policy. */
 enum class Routing
@@ -147,12 +174,13 @@ struct FleetConfig
     /** Record a per-request log in the result (testkit oracle). */
     bool record_requests = false;
     /**
-     * Record timeline probes (servers up, queued, arrival/reject/
-     * completion rates, windowed latency quantiles) when a timeline
-     * is active. Capacity bisection probes turn this off so only the
-     * run the user asked about lands in the exported timeline.
+     * Record process-wide telemetry: the `inference.fleet.latency_us`
+     * histogram, the `inference.fleet.{requests,rejected,batches,
+     * scale_events}` counters and, when a timeline is active, the
+     * timeline probes. The SLO searches turn this off for their
+     * probes so only the run the user asked about is reported.
      */
-    bool record_timeline = true;
+    bool record_telemetry = true;
 };
 
 /** One served model and the arrival stream offering load for it. */
@@ -212,9 +240,8 @@ struct FleetResult
     /** Mean items per launch/window. */
     double avg_batch = 0.0;
     int64_t batches = 0;
-    /** Same detector and sample floor as the single server. */
+    /** Tail-vs-mid latency detector over completion order. */
     OverloadVerdict verdict = OverloadVerdict::Undersampled;
-    bool saturated = false;
     /** Autoscaler trajectory. */
     int peak_servers = 0;
     int final_servers = 0;
@@ -270,6 +297,23 @@ minServersForSlo(const FleetConfig &cfg,
                  const std::vector<ModelLoad> &models, double slo,
                  int max_servers, int64_t num_requests,
                  uint64_t seed);
+
+/**
+ * Largest constant-stream offered load whose run of @p cfg over
+ * @p workload reports a Stable verdict and p99 <= @p slo seconds,
+ * found by 24 bisection steps over [1, qps_hi] (0 if even 1 qps
+ * misses the SLO; qps_hi if it passes). Each probe reuses @p cfg as
+ * a fixed fleet: autoscaler, request records and telemetry off.
+ *
+ * @throws std::invalid_argument if slo is non-positive or
+ *         non-finite, qps_hi is not > 1 and finite, or
+ *         probe_requests < kMinSaturationSamples (a probe too short
+ *         to judge could bless an overloaded operating point).
+ */
+double maxQpsUnderSlo(const FleetConfig &cfg,
+                      const InferenceWorkload &workload, double slo,
+                      double qps_hi, int64_t probe_requests,
+                      uint64_t seed);
 
 } // namespace paichar::inference
 

@@ -252,8 +252,9 @@ Timeline *timeline();
 /**
  * RAII: deactivate the timeline for a scope, restoring the previous
  * state on exit. Simulator runs with `record_timeline = false` (the
- * FIFO comparison run, capacity bisection probes) wrap themselves in
- * one so their events never pollute the exported timeline. Driver
+ * FIFO comparison run) or `record_telemetry = false` (fleet SLO
+ * search probes) wrap themselves in one so their events never
+ * pollute the exported timeline. Driver
  * thread only, like start/stop.
  */
 class TimelineSuspend

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <map>
 #include <sstream>
 
+#include "stats/arrival.h"
+#include "stats/cdf.h"
 #include "stats/rng.h"
 #include "workload/model_zoo.h"
 
@@ -16,10 +19,9 @@ using inference::FleetResult;
 using inference::FleetSimulator;
 using inference::InferenceWorkload;
 using inference::ModelLoad;
+using inference::OverloadVerdict;
 using inference::RequestRecord;
 using inference::Routing;
-using inference::ServingConfig;
-using inference::ServingSimulator;
 
 namespace {
 
@@ -141,59 +143,139 @@ checkFleetInvariants(const FleetConfig &cfg,
     return std::nullopt;
 }
 
+FleetResult
+referenceSingleServerRun(const FleetConfig &cfg,
+                         const InferenceWorkload &w, double qps,
+                         int64_t num_requests, uint64_t seed)
+{
+    // Poisson arrivals: exponential inter-arrival times drawn
+    // through the clamping sampler.
+    stats::Rng rng(seed);
+    std::vector<double> arrivals(static_cast<size_t>(num_requests));
+    double t = 0.0;
+    for (double &a : arrivals) {
+        t += stats::sampleExp(rng, qps);
+        a = t;
+    }
+
+    // Greedy batching on one GPU: whenever the device becomes free,
+    // everything queued (up to max_batch) leaves as one launch.
+    std::deque<double> queue; // arrival times of waiting requests
+    size_t next = 0;
+    double gpu_free = 0.0, busy = 0.0, last_end = 0.0;
+    int64_t batches = 0;
+    stats::WeightedCdf latencies;
+    std::vector<double> latency_seq;
+    latency_seq.reserve(arrivals.size());
+    while (next < arrivals.size() || !queue.empty()) {
+        if (queue.empty()) {
+            queue.push_back(arrivals[next]);
+            ++next;
+        }
+        double start = std::max(gpu_free, queue.front());
+        // Requests arriving while the GPU is still busy join the
+        // batch formed at `start`.
+        while (next < arrivals.size() && arrivals[next] <= start) {
+            queue.push_back(arrivals[next]);
+            ++next;
+        }
+        int batch = static_cast<int>(std::min<size_t>(
+            queue.size(), static_cast<size_t>(cfg.max_batch)));
+        double svc =
+            w.inputTime(batch, cfg.server.pcie_bandwidth) +
+            w.serviceTime(batch, cfg.server.gpu, cfg.launch_overhead);
+        double end = start + svc;
+        for (int b = 0; b < batch; ++b) {
+            double lat = end - queue.front();
+            latencies.add(lat);
+            latency_seq.push_back(lat);
+            queue.pop_front();
+        }
+        gpu_free = end;
+        busy += svc;
+        last_end = end;
+        ++batches;
+    }
+
+    FleetResult r;
+    r.offered = r.admitted = r.completed = num_requests;
+    r.duration = last_end;
+    r.throughput = num_requests / last_end;
+    r.mean_latency = latencies.mean();
+    r.p50_latency = latencies.quantile(0.50);
+    r.p95_latency = latencies.quantile(0.95);
+    r.p99_latency = latencies.quantile(0.99);
+    r.p999_latency = latencies.quantile(0.999);
+    r.max_latency = latencies.max();
+    r.gpu_utilization = busy / last_end;
+    r.batches = batches;
+    r.avg_batch = static_cast<double>(num_requests) /
+                  static_cast<double>(batches);
+
+    // The reference's own copy of the saturation detector: the late
+    // fifth of completions against the middle fifth.
+    size_t n = latency_seq.size();
+    if (n < static_cast<size_t>(inference::kMinSaturationSamples)) {
+        r.verdict = OverloadVerdict::Undersampled;
+    } else {
+        auto mean_range = [&](size_t lo, size_t hi) {
+            double acc = 0.0;
+            for (size_t j = lo; j < hi; ++j)
+                acc += latency_seq[j];
+            return acc / static_cast<double>(hi - lo);
+        };
+        double mid = mean_range(2 * n / 5, 3 * n / 5);
+        double tail = mean_range(4 * n / 5, n);
+        r.verdict = tail > 1.45 * mid ? OverloadVerdict::Saturated
+                                      : OverloadVerdict::Stable;
+    }
+    return r;
+}
+
 std::optional<std::string>
 checkSingleServerEquivalence(const InferenceWorkload &w, double qps,
                              int64_t num_requests, uint64_t seed,
                              int max_batch)
 {
-    ServingConfig scfg;
-    scfg.max_batch = max_batch;
-    ServingSimulator seed_sim(scfg);
-    inference::ServingResult a =
-        seed_sim.run(w, qps, num_requests, seed);
-
-    FleetConfig fcfg;
-    fcfg.num_servers = 1;
-    fcfg.max_batch = max_batch;
-    fcfg.batching = Batching::Greedy;
-    fcfg.record_requests = false;
+    FleetConfig cfg;
+    cfg.num_servers = 1;
+    cfg.max_batch = max_batch;
+    cfg.batching = Batching::Greedy;
+    FleetResult a =
+        referenceSingleServerRun(cfg, w, qps, num_requests, seed);
     stats::ArrivalConfig arrival;
     arrival.kind = stats::ArrivalKind::Constant;
     arrival.qps = qps;
     FleetResult b =
-        FleetSimulator(fcfg).run({{w, arrival}}, num_requests, seed);
+        FleetSimulator(cfg).run({{w, arrival}}, num_requests, seed);
 
-    auto diff = [](const std::string &field, double x, double y) {
-        std::ostringstream os;
-        os.precision(17);
-        os << "single-server differential: " << field
-           << " diverges (serving " << x << " vs fleet " << y << ")";
-        return os.str();
-    };
-    // Byte-exact: the fleet shares the seed simulator's RNG orbit,
+    // Byte-exact: the fleet shares the reference's RNG orbit,
     // sampler and arithmetic, so == (not NEAR) is the contract.
-    if (a.requests != b.completed)
-        return fail("single-server differential: completion counts "
-                    "differ");
-    if (a.duration != b.duration)
-        return diff("duration", a.duration, b.duration);
-    if (a.throughput != b.throughput)
-        return diff("throughput", a.throughput, b.throughput);
-    if (a.mean_latency != b.mean_latency)
-        return diff("mean_latency", a.mean_latency, b.mean_latency);
-    if (a.p50_latency != b.p50_latency)
-        return diff("p50", a.p50_latency, b.p50_latency);
-    if (a.p95_latency != b.p95_latency)
-        return diff("p95", a.p95_latency, b.p95_latency);
-    if (a.p99_latency != b.p99_latency)
-        return diff("p99", a.p99_latency, b.p99_latency);
-    if (a.p999_latency != b.p999_latency)
-        return diff("p999", a.p999_latency, b.p999_latency);
-    if (a.gpu_utilization != b.gpu_utilization)
-        return diff("gpu_utilization", a.gpu_utilization,
-                    b.gpu_utilization);
-    if (a.avg_batch != b.avg_batch)
-        return diff("avg_batch", a.avg_batch, b.avg_batch);
+    if (a.completed != b.completed || a.batches != b.batches)
+        return fail("single-server differential: completion or "
+                    "batch counts differ");
+    const std::pair<const char *, double FleetResult::*> fields[] = {
+        {"duration", &FleetResult::duration},
+        {"throughput", &FleetResult::throughput},
+        {"mean_latency", &FleetResult::mean_latency},
+        {"p50", &FleetResult::p50_latency},
+        {"p95", &FleetResult::p95_latency},
+        {"p99", &FleetResult::p99_latency},
+        {"p999", &FleetResult::p999_latency},
+        {"max_latency", &FleetResult::max_latency},
+        {"gpu_utilization", &FleetResult::gpu_utilization},
+        {"avg_batch", &FleetResult::avg_batch},
+    };
+    for (const auto &[field, member] : fields) {
+        if (a.*member != b.*member) {
+            std::ostringstream os;
+            os.precision(17);
+            os << "single-server differential: " << field
+               << " diverges (reference " << a.*member << " vs fleet "
+               << b.*member << ")";
+            return os.str();
+        }
+    }
     if (a.verdict != b.verdict)
         return fail(std::string("single-server differential: "
                                 "verdict diverges (") +

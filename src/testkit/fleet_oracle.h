@@ -3,7 +3,8 @@
  * Fleet differential oracle: policy-independent invariants every
  * serving-fleet configuration must uphold, checked against fuzzed
  * arrival streams, plus the byte-exact differential against the seed
- * single-server simulator.
+ * single-server simulator, which lives here as the reference
+ * (referenceSingleServerRun) and nowhere in production code.
  *
  * The invariants (DESIGN.md Sec 14):
  *  - request conservation: offered = admitted + rejected, every
@@ -16,7 +17,7 @@
  *    and a server's busy seconds never exceed its uptime;
  *  - quantile coherence: p50 <= p95 <= p99 <= p999 <= max;
  *  - differential: a one-server greedy fleet with a constant stream
- *    must reproduce the seed ServingSimulator byte-for-byte (same
+ *    must reproduce the seed single-server loop byte-for-byte (same
  *    RNG orbit, same arithmetic, same verdict).
  *
  * fuzzFleet() sweeps seed-derived fleet shapes (servers, routing,
@@ -47,8 +48,27 @@ checkFleetInvariants(const inference::FleetConfig &cfg,
                      const inference::FleetResult &result);
 
 /**
+ * The seed single-server simulator, kept as the reference the fleet
+ * is checked against: Poisson arrivals at @p qps drawn from
+ * Rng(@p seed), one FIFO queue, and greedy batching (whenever the GPU
+ * goes idle, everything queued, up to cfg.max_batch, leaves as one
+ * launch). Reads only cfg.server, cfg.max_batch and
+ * cfg.launch_overhead. Fills the aggregate fields of a FleetResult
+ * (counts, duration, throughput, latency quantiles, utilization,
+ * batches, verdict) with its own loop and its own copy of the
+ * saturation detector, so a fleet regression cannot hide in shared
+ * code. No input validation: callers pass qps > 0 and
+ * num_requests >= 1.
+ */
+inference::FleetResult
+referenceSingleServerRun(const inference::FleetConfig &cfg,
+                         const inference::InferenceWorkload &w,
+                         double qps, int64_t num_requests,
+                         uint64_t seed);
+
+/**
  * Differential check: a one-server greedy fleet over a constant
- * @p qps stream must reproduce the seed ServingSimulator exactly
+ * @p qps stream must reproduce referenceSingleServerRun exactly
  * (bitwise-equal doubles, equal counts, equal verdict).
  * @return nullopt when identical, else the first divergence.
  */

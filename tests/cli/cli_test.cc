@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <regex>
@@ -462,6 +463,65 @@ TEST(CliTest, ServeAndCapacitySurfaceFleetValidationAsErrors)
         EXPECT_EQ(r.code, 1) << args[0];
         EXPECT_NE(r.err.find("error: "), std::string::npos)
             << args[0] << ": " << r.err;
+    }
+}
+
+// --slo-ms and --max-servers are checked while the flags are parsed,
+// so a bad value prints nothing but one error line.
+TEST(CliTest, ServeAndCapacityRejectBadSloAndMaxServersBeforePrinting)
+{
+    for (const char *bad : {"0", "-1", "nan"}) {
+        for (const auto &args : std::vector<std::vector<std::string>>{
+                 {"serve", "resnet50", "--slo-ms", bad},
+                 {"capacity", "resnet50", "--slo-ms", bad},
+                 {"serve", "resnet50", "--autoscale", "1",
+                  "--max-servers", bad},
+                 {"capacity", "resnet50", "--max-servers", bad}}) {
+            auto r = runCli(args);
+            std::string what = args[0] + " " + args[2] + " " + bad;
+            EXPECT_EQ(r.code, 1) << what;
+            EXPECT_EQ(r.out, "") << what;
+            EXPECT_EQ(r.err.rfind("error: ", 0), 0u) << what << r.err;
+            EXPECT_EQ(std::count(r.err.begin(), r.err.end(), '\n'), 1)
+                << what << ": " << r.err;
+        }
+    }
+}
+
+// Search probes stay out of the telemetry: the latency histogram and
+// the request counter describe only the run printed on stdout.
+TEST(CliTest, ServeAndCapacityMetricsCountOnlyTheUsersRun)
+{
+    for (const auto &args : std::vector<std::vector<std::string>>{
+             {"serve", "resnet50", "--requests", "3000"},
+             {"capacity", "resnet50", "--qps", "2000", "--requests",
+              "3000"}}) {
+        obs::resetMetrics();
+        std::string metrics =
+            testing::TempDir() + "/paichar_cli_fleet_metrics_" +
+            std::to_string(getpid()) + ".txt";
+        auto with_metrics = args;
+        with_metrics.push_back("--metrics=" + metrics);
+        auto r = runCli(with_metrics);
+        ASSERT_EQ(r.code, 0) << r.err;
+        ASSERT_EQ(r.out.find("not attainable"), std::string::npos);
+
+        std::ifstream mf(metrics);
+        std::string line;
+        double requests = -1.0, latency_count = -1.0;
+        while (std::getline(mf, line)) {
+            std::istringstream row(line);
+            std::string kind, name, word;
+            row >> kind >> name;
+            if (kind == "counter" && name == "inference.fleet.requests")
+                row >> requests;
+            if (kind == "histogram" &&
+                name == "inference.fleet.latency_us")
+                row >> word >> latency_count;
+        }
+        std::remove(metrics.c_str());
+        EXPECT_EQ(requests, 3000.0) << args[0];
+        EXPECT_EQ(latency_count, 3000.0) << args[0];
     }
 }
 

@@ -349,6 +349,15 @@ TEST(FleetSimTest, LatencyFlowsIntoObsHistogram)
     // Microsecond scaling keeps sub-second latencies out of the
     // bucket-0 catch-all: the p50 bucket bound must be > 1.
     EXPECT_GT(h.quantile(0.5), 1.0);
+
+    // Search probes run with telemetry off and leave no trace.
+    obs::Counter &requests = obs::counter("inference.fleet.requests");
+    uint64_t hist_before = h.count(), requests_before = requests.value();
+    FleetConfig quiet;
+    quiet.record_telemetry = false;
+    FleetSimulator(quiet).run(constantLoad(300.0), 2000, 31);
+    EXPECT_EQ(h.count(), hist_before);
+    EXPECT_EQ(requests.value(), requests_before);
 }
 
 TEST(FleetSimTest, CapacityBisectionFindsMinimalStableFleet)

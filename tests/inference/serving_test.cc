@@ -1,8 +1,10 @@
 /**
  * @file
  * Tests for the inference-serving subsystem (the paper's Sec VIII
- * future work): workload derivation, queueing behavior, batching
- * economics and SLO search.
+ * future work) at its single-server operating point: workload
+ * derivation, queueing behavior, batching economics and the SLO
+ * search, all on a one-server FleetSimulator and maxQpsUnderSlo.
+ * Multi-server behavior lives in fleet_sim_test.cc.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +12,7 @@
 #include <limits>
 #include <stdexcept>
 
-#include "inference/serving_sim.h"
+#include "inference/fleet_sim.h"
 #include "workload/model_zoo.h"
 
 namespace paichar::inference {
@@ -21,6 +23,27 @@ resnetServing()
 {
     return InferenceWorkload::fromTraining(
         workload::ModelZoo::resnet50());
+}
+
+/** Batch-1 cost of one request on the default server. */
+double
+soloTime(const InferenceWorkload &w)
+{
+    FleetConfig cfg;
+    return w.inputTime(1, cfg.server.pcie_bandwidth) +
+           w.serviceTime(1, cfg.server.gpu, cfg.launch_overhead);
+}
+
+/** @p n constant-stream arrivals at @p qps on one greedy server. */
+FleetResult
+serveOne(const InferenceWorkload &w, double qps, int64_t n,
+         uint64_t seed, int max_batch = 8)
+{
+    FleetConfig cfg;
+    cfg.max_batch = max_batch;
+    stats::ArrivalConfig arrival;
+    arrival.qps = qps;
+    return FleetSimulator(cfg).run({{w, arrival}}, n, seed);
 }
 
 TEST(InferenceWorkloadTest, DerivationFromTraining)
@@ -54,55 +77,25 @@ TEST(InferenceWorkloadTest, ServiceTimeShape)
     EXPECT_NEAR(s8 - s1, 7.0 * (s1 - fixed), 1e-12);
 }
 
-TEST(ServingSimTest, DeterministicForEqualSeeds)
-{
-    ServingSimulator sim;
-    auto w = resnetServing();
-    auto a = sim.run(w, 500.0, 5000, 7);
-    auto b = sim.run(w, 500.0, 5000, 7);
-    EXPECT_DOUBLE_EQ(a.p99_latency, b.p99_latency);
-    EXPECT_DOUBLE_EQ(a.throughput, b.throughput);
-}
-
 TEST(ServingSimTest, IdleLoadLatencyIsServiceTime)
 {
     // At negligible load every request is served alone, immediately.
-    ServingSimulator sim;
     auto w = resnetServing();
-    auto r = sim.run(w, 1.0, 500, 11);
-    double solo =
-        w.inputTime(1, sim.config().server.pcie_bandwidth) +
-        w.serviceTime(1, sim.config().server.gpu,
-                      sim.config().launch_overhead);
+    auto r = serveOne(w, 1.0, 500, 11);
+    double solo = soloTime(w);
     EXPECT_NEAR(r.p50_latency, solo, 1e-9);
     EXPECT_NEAR(r.mean_latency, solo, 0.01 * solo);
     EXPECT_NEAR(r.avg_batch, 1.0, 0.01);
-    EXPECT_FALSE(r.saturated);
+    EXPECT_EQ(r.verdict, OverloadVerdict::Stable);
 }
 
 TEST(ServingSimTest, UtilizationTracksOfferedLoad)
 {
-    ServingSimulator sim;
     auto w = resnetServing();
-    double solo = w.serviceTime(1, sim.config().server.gpu,
-                                sim.config().launch_overhead) +
-                  w.inputTime(1, sim.config().server.pcie_bandwidth);
-    double qps = 0.3 / solo; // ~30% utilization without batching
-    auto r = sim.run(w, qps, 20000, 13);
+    double qps = 0.3 / soloTime(w); // ~30% utilization unbatched
+    auto r = serveOne(w, qps, 20000, 13);
     EXPECT_NEAR(r.gpu_utilization, 0.3, 0.05);
-    EXPECT_FALSE(r.saturated);
-}
-
-TEST(ServingSimTest, LatencyGrowsWithLoad)
-{
-    ServingSimulator sim;
-    auto w = resnetServing();
-    double prev = 0.0;
-    for (double qps : {200.0, 800.0, 2000.0}) {
-        auto r = sim.run(w, qps, 20000, 17);
-        EXPECT_GT(r.p99_latency, prev) << qps;
-        prev = r.p99_latency;
-    }
+    EXPECT_EQ(r.verdict, OverloadVerdict::Stable);
 }
 
 TEST(ServingSimTest, OverloadIsDetectedAndBatchingRaisesCapacity)
@@ -116,21 +109,13 @@ TEST(ServingSimTest, OverloadIsDetectedAndBatchingRaisesCapacity)
     w.act_bytes_per_item = 1e6;
     w.input_bytes_per_item = 1e4;
 
-    ServingConfig no_batch;
-    no_batch.max_batch = 1;
-    ServingConfig batch8;
-    batch8.max_batch = 8;
-
     // A load past the unbatched capacity but well within the batched
     // one (per-launch cost ~fixed, so batch-8 capacity is ~7x).
-    double solo = w.serviceTime(1, no_batch.server.gpu,
-                                no_batch.launch_overhead) +
-                  w.inputTime(1, no_batch.server.pcie_bandwidth);
-    double qps = 2.0 / solo;
-    auto r1 = ServingSimulator(no_batch).run(w, qps, 20000, 19);
-    auto r8 = ServingSimulator(batch8).run(w, qps, 20000, 19);
-    EXPECT_TRUE(r1.saturated);
-    EXPECT_FALSE(r8.saturated);
+    double qps = 2.0 / soloTime(w);
+    auto r1 = serveOne(w, qps, 20000, 19, 1);
+    auto r8 = serveOne(w, qps, 20000, 19, 8);
+    EXPECT_EQ(r1.verdict, OverloadVerdict::Saturated);
+    EXPECT_EQ(r8.verdict, OverloadVerdict::Stable);
     EXPECT_GT(r8.avg_batch, 1.2);
     EXPECT_LT(r8.p99_latency, r1.p99_latency);
 }
@@ -152,40 +137,34 @@ TEST(ServingSimTest, BatchingBuysLittleForPerItemBoundModels)
 TEST(ServingSimTest, ThroughputCapsAtServiceCapacity)
 {
     auto w = resnetServing();
-    ServingConfig cfg;
-    cfg.max_batch = 1;
-    ServingSimulator sim(cfg);
-    double solo = w.serviceTime(1, cfg.server.gpu,
-                                cfg.launch_overhead) +
-                  w.inputTime(1, cfg.server.pcie_bandwidth);
-    auto r = sim.run(w, 10.0 / solo, 20000, 23);
-    EXPECT_TRUE(r.saturated);
+    double solo = soloTime(w);
+    auto r = serveOne(w, 10.0 / solo, 20000, 23, 1);
+    EXPECT_EQ(r.verdict, OverloadVerdict::Saturated);
     EXPECT_NEAR(r.throughput, 1.0 / solo, 0.02 / solo);
     EXPECT_NEAR(r.gpu_utilization, 1.0, 0.02);
 }
 
 TEST(ServingSimTest, MaxQpsUnderSloIsConsistent)
 {
-    ServingSimulator sim;
     auto w = resnetServing();
-    double solo = w.serviceTime(1, sim.config().server.gpu,
-                                sim.config().launch_overhead) +
-                  w.inputTime(1, sim.config().server.pcie_bandwidth);
+    double solo = soloTime(w);
     double slo = 5.0 * solo;
-    double qps = sim.maxQpsUnderSlo(w, slo, 20.0 / solo, 29);
+    double qps =
+        maxQpsUnderSlo(FleetConfig{}, w, slo, 20.0 / solo, 20000, 29);
     ASSERT_GT(qps, 0.0);
-    auto at = sim.run(w, qps, 20000, 29);
+    auto at = serveOne(w, qps, 20000, 29);
     EXPECT_LE(at.p99_latency, slo * 1.001);
     // 15% more load breaks the SLO (or saturates).
-    auto over = sim.run(w, 1.15 * qps, 20000, 29);
-    EXPECT_TRUE(over.p99_latency > slo || over.saturated);
+    auto over = serveOne(w, 1.15 * qps, 20000, 29);
+    EXPECT_TRUE(over.p99_latency > slo ||
+                over.verdict == OverloadVerdict::Saturated);
 }
 
 TEST(ServingSimTest, ImpossibleSloReturnsZero)
 {
-    ServingSimulator sim;
-    auto w = resnetServing();
-    EXPECT_DOUBLE_EQ(sim.maxQpsUnderSlo(w, 1e-9, 1000.0, 31), 0.0);
+    EXPECT_DOUBLE_EQ(maxQpsUnderSlo(FleetConfig{}, resnetServing(),
+                                    1e-9, 1000.0, 20000, 31),
+                     0.0);
 }
 
 // --- Release-mode bugfix regressions -------------------------------
@@ -196,26 +175,25 @@ TEST(ServingSimTest, InvalidArgumentsThrowNotAssert)
     // (a qps of 0 then divided by zero into NaN latencies). The
     // NDEBUG-forced twin of this test lives in tests/ndebug.
     auto w = resnetServing();
-    ServingConfig bad;
+    FleetConfig bad;
     bad.max_batch = 0;
-    EXPECT_THROW(ServingSimulator{bad}, std::invalid_argument);
+    EXPECT_THROW(FleetSimulator{bad}, std::invalid_argument);
     bad.max_batch = -3;
-    EXPECT_THROW(ServingSimulator{bad}, std::invalid_argument);
-    ServingConfig bad_overhead;
+    EXPECT_THROW(FleetSimulator{bad}, std::invalid_argument);
+    FleetConfig bad_overhead;
     bad_overhead.launch_overhead = -1e-6;
-    EXPECT_THROW(ServingSimulator{bad_overhead},
+    EXPECT_THROW(FleetSimulator{bad_overhead},
                  std::invalid_argument);
 
-    ServingSimulator sim;
-    EXPECT_THROW(sim.run(w, 0.0, 100, 1), std::invalid_argument);
-    EXPECT_THROW(sim.run(w, -5.0, 100, 1), std::invalid_argument);
-    EXPECT_THROW(sim.run(w, std::numeric_limits<double>::infinity(),
-                         100, 1),
+    EXPECT_THROW(serveOne(w, 0.0, 100, 1), std::invalid_argument);
+    EXPECT_THROW(serveOne(w, -5.0, 100, 1), std::invalid_argument);
+    EXPECT_THROW(
+        serveOne(w, std::numeric_limits<double>::infinity(), 100, 1),
+        std::invalid_argument);
+    EXPECT_THROW(serveOne(w, 100.0, 0, 1), std::invalid_argument);
+    EXPECT_THROW(maxQpsUnderSlo(FleetConfig{}, w, 0.0, 100.0, 20000, 1),
                  std::invalid_argument);
-    EXPECT_THROW(sim.run(w, 100.0, 0, 1), std::invalid_argument);
-    EXPECT_THROW(sim.maxQpsUnderSlo(w, 0.0, 100.0, 1),
-                 std::invalid_argument);
-    EXPECT_THROW(sim.maxQpsUnderSlo(w, 0.01, 1.0, 1),
+    EXPECT_THROW(maxQpsUnderSlo(FleetConfig{}, w, 0.01, 1.0, 20000, 1),
                  std::invalid_argument);
 }
 
@@ -225,20 +203,15 @@ TEST(ServingSimTest, ShortRunsReportUndersampledNeverStable)
     // saturated" below 100 samples, so a 50-request probe at a
     // hopelessly overloaded operating point looked healthy.
     auto w = resnetServing();
-    ServingSimulator sim;
-    double solo = w.serviceTime(1, sim.config().server.gpu,
-                                sim.config().launch_overhead) +
-                  w.inputTime(1, sim.config().server.pcie_bandwidth);
-    double overload_qps = 50.0 / solo; // 50x capacity
-    auto r = sim.run(w, overload_qps, kMinSaturationSamples - 1, 37);
+    double overload_qps = 50.0 / soloTime(w); // 50x capacity
+    auto r = serveOne(w, overload_qps, kMinSaturationSamples - 1, 37);
     EXPECT_EQ(r.verdict, OverloadVerdict::Undersampled);
-    EXPECT_FALSE(r.saturated);
     // The same load with enough samples is judged saturated.
-    auto full = sim.run(w, overload_qps, 20000, 37);
+    auto full = serveOne(w, overload_qps, 20000, 37);
     EXPECT_EQ(full.verdict, OverloadVerdict::Saturated);
     // At the floor itself the detector judges (no Undersampled).
-    auto at_floor = sim.run(w, overload_qps, kMinSaturationSamples,
-                            37);
+    auto at_floor =
+        serveOne(w, overload_qps, kMinSaturationSamples, 37);
     EXPECT_NE(at_floor.verdict, OverloadVerdict::Undersampled);
 }
 
@@ -248,14 +221,13 @@ TEST(ServingSimTest, SloSearchRefusesUndersampledProbes)
     // could otherwise certify a saturated operating point as "fits
     // the SLO".
     auto w = resnetServing();
-    ServingSimulator sim;
-    EXPECT_THROW(sim.maxQpsUnderSlo(w, 0.01, 1000.0, 41,
-                                    kMinSaturationSamples - 1),
+    EXPECT_THROW(maxQpsUnderSlo(FleetConfig{}, w, 0.01, 1000.0,
+                                kMinSaturationSamples - 1, 41),
                  std::invalid_argument);
-    // And an Undersampled verdict never passes ok(): a tiny legal
+    // And an Undersampled verdict never passes a probe: a tiny legal
     // probe count still yields a usable (conservative) search.
-    double qps = sim.maxQpsUnderSlo(w, 0.02, 2000.0, 41,
-                                    kMinSaturationSamples);
+    double qps = maxQpsUnderSlo(FleetConfig{}, w, 0.02, 2000.0,
+                                kMinSaturationSamples, 41);
     EXPECT_GE(qps, 0.0);
 }
 

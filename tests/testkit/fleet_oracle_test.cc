@@ -1,8 +1,9 @@
 /**
  * @file
  * Fleet-oracle tests (`ctest -L serve`): the byte-exact differential
- * between a one-server greedy fleet and the seed ServingSimulator,
- * direct invariant checks, oracle sensitivity (a corrupted result
+ * between a one-server greedy fleet and the seed single-server loop
+ * (testkit's reference), the SLO search over both, direct invariant
+ * checks, oracle sensitivity (a corrupted result
  * must be caught), and the fuzzed sweep over fleet shapes.
  *
  * PAICHAR_FLEET_SEED replays the fuzz sweep from a specific seed (the
@@ -46,6 +47,32 @@ TEST(FleetOracleTest, SingleServerFleetMatchesSeedSimulatorExactly)
                 << ": " << *msg;
         }
     }
+}
+
+TEST(FleetOracleTest, SloSearchOnTheFleetMatchesTheReferenceBisection)
+{
+    // The SLO search on the fleet and the same 24-step bisection over
+    // the reference loop must land on the same double.
+    auto w = resnetServing();
+    FleetConfig cfg;
+    const double slo = 0.006, qps_hi = 5000.0;
+    const int64_t probes = 2000;
+    auto ok = [&](double qps) {
+        FleetResult r =
+            referenceSingleServerRun(cfg, w, qps, probes, 20190701);
+        return r.verdict == inference::OverloadVerdict::Stable &&
+               r.p99_latency <= slo;
+    };
+    ASSERT_TRUE(ok(1.0));
+    ASSERT_FALSE(ok(qps_hi));
+    double lo = 1.0, hi = qps_hi;
+    for (int iter = 0; iter < 24; ++iter) {
+        double mid = 0.5 * (lo + hi);
+        (ok(mid) ? lo : hi) = mid;
+    }
+    EXPECT_EQ(inference::maxQpsUnderSlo(cfg, w, slo, qps_hi, probes,
+                                        20190701),
+              lo);
 }
 
 TEST(FleetOracleTest, InvariantsHoldOnAHealthyRun)
