@@ -974,7 +974,8 @@ runSimEngineSection()
  * Serving section: simulated-requests-per-wall-second of the seed
  * single-server loop (testkit::referenceSingleServerRun) against the
  * fleet event loop at 1 and 4 servers and both batching disciplines,
- * over the same ResNet50 stream (the contents of BENCH_serving.json).
+ * and at 512 servers with p2c routing, each server offered the same
+ * 800 qps of ResNet50 (the contents of BENCH_serving.json).
  * The fleet1_greedy row doubles as the overhead budget of the
  * generalized loop (routing, records, obs histogram) against the
  * seed's array walk. Request
@@ -1039,6 +1040,17 @@ runServingSection()
              cfg.batching = inference::Batching::Continuous;
              stats::ArrivalConfig a;
              a.qps = 3200.0;
+             return inference::FleetSimulator(cfg)
+                 .run({{w, a}}, requests, 7)
+                 .completed;
+         }},
+        {"fleet512_p2c",
+         [&] {
+             inference::FleetConfig cfg;
+             cfg.num_servers = 512;
+             cfg.routing = inference::Routing::PowerOfTwo;
+             stats::ArrivalConfig a;
+             a.qps = 512 * 800.0;
              return inference::FleetSimulator(cfg)
                  .run({{w, a}}, requests, 7)
                  .completed;

@@ -88,6 +88,27 @@ struct Args
     }
 
     /**
+     * An integer flag in [@p lo, @p hi]. NaN, infinities, fractions
+     * and out-of-range values are a UsageError, so nothing casts an
+     * unrepresentable double to an integer.
+     */
+    int64_t
+    intFlag(const std::string &name, int64_t fallback, int64_t lo,
+            int64_t hi) const
+    {
+        double v = numFlag(name, static_cast<double>(fallback));
+        if (!(v >= static_cast<double>(lo) &&
+              v <= static_cast<double>(hi)) ||
+            v != std::floor(v))
+            throw UsageError("error: flag --" + name +
+                             " expects an integer in [" +
+                             std::to_string(lo) + ", " +
+                             std::to_string(hi) + "], got '" +
+                             *flag(name) + "'");
+        return static_cast<int64_t>(v);
+    }
+
+    /**
      * A flag restricted to an enumerated value set. Unknown values
      * are a UsageError listing every valid spelling, so typos fail
      * loudly instead of silently falling back.
@@ -875,22 +896,21 @@ FleetArgs
 parseFleetArgs(const Args &args, const inference::InferenceWorkload &w)
 {
     FleetArgs f;
-    double max_servers = args.numFlag("max-servers", 64);
-    if (!(max_servers >= 1.0 &&
-          max_servers <= std::numeric_limits<int>::max()))
-        throw UsageError("error: flag --max-servers expects a value "
-                         ">= 1, got '" +
-                         *args.flag("max-servers") + "'");
-    f.max_servers = static_cast<int>(max_servers);
-    f.cfg.num_servers = static_cast<int>(args.numFlag("servers", 1));
-    f.cfg.max_batch = static_cast<int>(args.numFlag("max-batch", 8));
+    constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+    f.max_servers =
+        static_cast<int>(args.intFlag("max-servers", 64, 1, kIntMax));
+    f.cfg.num_servers =
+        static_cast<int>(args.intFlag("servers", 1, 1, kIntMax));
+    f.cfg.max_batch =
+        static_cast<int>(args.intFlag("max-batch", 8, 1, kIntMax));
     f.cfg.routing = *inference::routingFromString(args.choiceFlag(
         "routing", "round-robin",
         {"round-robin", "least-queue", "p2c"}));
     f.cfg.batching = *inference::batchingFromString(
         args.choiceFlag("batching", "greedy",
                         {"greedy", "continuous"}));
-    f.cfg.admit_queue = static_cast<int>(args.numFlag("admit", 0));
+    f.cfg.admit_queue =
+        static_cast<int>(args.intFlag("admit", 0, 0, kIntMax));
     // "1" and "queue" are the original depth-driven controller;
     // "slo" reacts to the trailing-window p99 instead (the latency
     // target is fixed up below, once --slo-ms is known).
@@ -919,8 +939,8 @@ parseFleetArgs(const Args &args, const inference::InferenceWorkload &w)
                          "finite value, got '" +
                          *args.flag("slo-ms") + "'");
     f.cfg.autoscaler.slo_latency = f.slo;
-    f.requests =
-        static_cast<int64_t>(args.numFlag("requests", 20000));
+    // 2^53: every integer up to it is exact in the parsed double.
+    f.requests = args.intFlag("requests", 20000, 1, int64_t{1} << 53);
     return f;
 }
 

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <functional>
 #include <limits>
 #include <optional>
+#include <queue>
 #include <stdexcept>
 
 #include "obs/obs.h"
@@ -38,7 +40,6 @@ struct Server
     State state = State::Up;
     std::deque<int64_t> queue; // waiting request ids
     bool busy = false;
-    double completion = kInf;      // valid while busy
     double launch_start = 0.0;     // valid while busy
     std::vector<int64_t> in_flight; // ids of the running launch
     // Continuous batching: items left in the current amortization
@@ -320,14 +321,20 @@ FleetSimulator::run(const std::vector<ModelLoad> &models,
     uint64_t rr_counter = 0;
     double next_tick = as.enabled ? as.check_interval : kInf;
 
-    auto upServers = [&](std::vector<size_t> &out) {
-        out.clear();
-        for (size_t i = 0; i < servers.size(); ++i) {
-            if (servers[i].state == Server::State::Up)
-                out.push_back(i);
-        }
-    };
-    std::vector<size_t> up; // scratch, reused per routing decision
+    // Up servers in index order. A provision appends the newest
+    // server, the highest index so far, and a drain retires the
+    // highest Up index, so both are O(1) at the back.
+    std::vector<size_t> up(servers.size());
+    for (size_t i = 0; i < up.size(); ++i)
+        up[i] = i;
+    // Pending completions, least (time, server) on top: the same
+    // order, ties to the lower index, as a scan over the servers. A
+    // server has at most one pending completion and none is ever
+    // cancelled.
+    using Pending = std::pair<double, size_t>;
+    std::priority_queue<Pending, std::vector<Pending>, std::greater<>>
+        completions;
+    size_t queued = 0; // waiting requests, fleet-wide
 
     auto load = [&](const Server &s) {
         return s.queue.size() + s.in_flight.size();
@@ -356,6 +363,7 @@ FleetSimulator::run(const std::vector<ModelLoad> &models,
                 if (arrivals[static_cast<size_t>(*it)].model == m) {
                     s.in_flight.push_back(*it);
                     it = s.queue.erase(it);
+                    --queued;
                 } else {
                     ++it;
                 }
@@ -367,6 +375,7 @@ FleetSimulator::run(const std::vector<ModelLoad> &models,
         } else {
             s.in_flight.push_back(s.queue.front());
             s.queue.pop_front();
+            --queued;
             if (s.window_left == 0 || s.window_model != m) {
                 svc += w.fixedTime(gpu, cfg_.launch_overhead);
                 s.window_left = cfg_.max_batch;
@@ -378,21 +387,18 @@ FleetSimulator::run(const std::vector<ModelLoad> &models,
         }
         s.busy = true;
         s.launch_start = t;
-        s.completion = t + svc;
         s.busy_time += svc;
+        completions.emplace(t + svc, si);
     };
 
-    auto finishWork = [&](size_t si) {
+    auto finishWork = [&](size_t si, double t) {
         Server &s = servers[si];
-        double t = s.completion;
         int batch = static_cast<int>(s.in_flight.size());
         for (int64_t id : s.in_flight) {
             double lat =
                 t - arrivals[static_cast<size_t>(id)].time;
             latencies.add(lat);
             latency_seq.push_back(lat);
-            if (latency_hist)
-                latency_hist->observe(lat * 1e6);
             if (tl_latency)
                 tl_latency->observe(lat * 1e6);
             if (slo_mode)
@@ -414,7 +420,6 @@ FleetSimulator::run(const std::vector<ModelLoad> &models,
             tl_completions->add(static_cast<double>(batch));
         s.in_flight.clear();
         s.busy = false;
-        s.completion = kInf;
         last_end = t;
         if (!s.queue.empty()) {
             startWork(si, t);
@@ -424,31 +429,7 @@ FleetSimulator::run(const std::vector<ModelLoad> &models,
         }
     };
 
-    auto anyBusy = [&] {
-        for (const Server &s : servers) {
-            if (s.busy)
-                return true;
-        }
-        return false;
-    };
-
-    // Post-event level sampling: last-set-wins within a window, so
-    // each closed window reports the fleet state as of its final
-    // event — piecewise-constant sampling of size and backlog.
-    auto sampleFleetLevels = [&] {
-        if (!tl)
-            return;
-        double up_now = 0.0, queued = 0.0;
-        for (const Server &s : servers) {
-            if (s.state == Server::State::Up)
-                up_now += 1.0;
-            queued += static_cast<double>(s.queue.size());
-        }
-        tl_up_lvl->set(up_now);
-        tl_queued_lvl->set(queued);
-    };
-
-    while (next_arrival < arrivals.size() || anyBusy()) {
+    while (next_arrival < arrivals.size() || !completions.empty()) {
         // Select the next event by (time, kind, server).
         double ev_time = kInf;
         int ev_kind = kTick;
@@ -466,15 +447,13 @@ FleetSimulator::run(const std::vector<ModelLoad> &models,
                 ev_kind = kArrival;
             }
         }
-        for (size_t i = 0; i < servers.size(); ++i) {
-            if (!servers[i].busy)
-                continue;
-            double t = servers[i].completion;
+        if (!completions.empty()) {
+            auto [t, si] = completions.top();
             if (t < ev_time ||
                 (t == ev_time && kCompletion < ev_kind)) {
                 ev_time = t;
                 ev_kind = kCompletion;
-                ev_server = i;
+                ev_server = si;
             }
         }
         if (as.enabled && next_tick < ev_time) {
@@ -493,11 +472,9 @@ FleetSimulator::run(const std::vector<ModelLoad> &models,
             Server &s = servers[ev_server];
             s.state = Server::State::Up;
             s.up_since = ev_time;
-            int up_now = 0;
-            for (const Server &sv : servers)
-                up_now += sv.state == Server::State::Up;
-            result.peak_servers =
-                std::max(result.peak_servers, up_now);
+            up.push_back(ev_server);
+            result.peak_servers = std::max(
+                result.peak_servers, static_cast<int>(up.size()));
             break;
         }
 
@@ -506,7 +483,6 @@ FleetSimulator::run(const std::vector<ModelLoad> &models,
             ++next_arrival;
             if (tl_arrivals)
                 tl_arrivals->add();
-            upServers(up);
             size_t chosen = up.front();
             switch (cfg_.routing) {
             case Routing::RoundRobin:
@@ -560,29 +536,20 @@ FleetSimulator::run(const std::vector<ModelLoad> &models,
                 break;
             }
             s.queue.push_back(id);
+            ++queued;
             if (!s.busy)
                 startWork(chosen, ev_time);
             break;
         }
 
         case kCompletion:
-            finishWork(ev_server);
+            completions.pop();
+            finishWork(ev_server, ev_time);
             break;
 
         case kTick: {
             next_tick += as.check_interval;
-            int up_now = 0;
-            size_t queued = 0;
-            size_t drain_candidate = 0;
-            bool have_candidate = false;
-            for (size_t i = 0; i < servers.size(); ++i) {
-                if (servers[i].state != Server::State::Up)
-                    continue;
-                ++up_now;
-                queued += servers[i].queue.size();
-                drain_candidate = i; // highest Up index wins
-                have_candidate = true;
-            }
+            int up_now = static_cast<int>(up.size());
             if (up_now == 0)
                 break;
             bool scale_up = false, scale_down = false;
@@ -602,8 +569,11 @@ FleetSimulator::run(const std::vector<ModelLoad> &models,
                 }
                 slo_window.clear();
             } else {
+                size_t up_queued = 0;
+                for (size_t i : up)
+                    up_queued += servers[i].queue.size();
                 double depth =
-                    static_cast<double>(queued) / up_now;
+                    static_cast<double>(up_queued) / up_now;
                 scale_up = depth > as.scale_up_depth;
                 scale_down = depth < as.scale_down_depth;
             }
@@ -612,8 +582,6 @@ FleetSimulator::run(const std::vector<ModelLoad> &models,
                     as.max_servers) {
                 servers.emplace_back();
                 servers.back().state = Server::State::Provisioning;
-                servers.back().busy = false;
-                servers.back().completion = kInf;
                 provisions.emplace_back(
                     ev_time + as.provision_lag,
                     servers.size() - 1);
@@ -621,9 +589,9 @@ FleetSimulator::run(const std::vector<ModelLoad> &models,
                 if (tl_scale)
                     tl_scale->add();
             } else if (scale_down &&
-                       up_now > std::max(as.min_servers, 1) &&
-                       have_candidate) {
-                Server &s = servers[drain_candidate];
+                       up_now > std::max(as.min_servers, 1)) {
+                Server &s = servers[up.back()];
+                up.pop_back();
                 if (!s.busy && s.queue.empty()) {
                     s.state = Server::State::Down;
                     s.uptime += ev_time - s.up_since;
@@ -638,7 +606,13 @@ FleetSimulator::run(const std::vector<ModelLoad> &models,
         }
         }
 
-        sampleFleetLevels();
+        // Post-event level sampling: last-set-wins within a window,
+        // so each closed window reports the fleet state as of its
+        // final event.
+        if (tl) {
+            tl_up_lvl->set(static_cast<double>(up.size()));
+            tl_queued_lvl->set(static_cast<double>(queued));
+        }
     }
 
     if (tl)
@@ -690,6 +664,8 @@ FleetSimulator::run(const std::vector<ModelLoad> &models,
             : 0.0;
 
     result.verdict = judgeOverload(latency_seq);
+    if (latency_hist)
+        latency_hist->observeAll(latency_seq, 1e6);
 
     if (cfg_.record_telemetry) {
         requests_ctr.add(static_cast<uint64_t>(result.offered));

@@ -127,16 +127,47 @@ Histogram::bucketOf(double v)
 {
     if (!(v > 1.0)) // <= 1, negative, NaN
         return 0;
-    if (v >= 0x1p62)
+    if (v > 0x1p62) // the top bucket is (2^62, +inf]
         return kBuckets - 1;
-    // Bucket i covers (2^(i-1), 2^i]: ceil(log2(v)) for v > 1.
-    auto u = static_cast<uint64_t>(std::ceil(v));
-    int b = 64 - std::countl_zero(u - 1);
-    // Integer ceil over-reaches for non-integral v just below a
-    // power of two; the invariant check below is branch-predictable.
-    while (b > 1 && v <= std::ldexp(1.0, b - 1))
-        --b;
-    return b < kBuckets ? b : kBuckets - 1;
+    // Bucket i covers (2^(i-1), 2^i]: ceil(log2(v)) for v > 1, read
+    // off the bits. v = 1.f * 2^e lands in bucket e when v is a power
+    // of two (f = 0) and in bucket e + 1 otherwise.
+    auto bits = std::bit_cast<uint64_t>(v);
+    int e = static_cast<int>(bits >> 52) - 1023;
+    return e + ((bits & ((uint64_t{1} << 52) - 1)) != 0);
+}
+
+void
+Histogram::observeAll(std::span<const double> values, double scale)
+{
+    if (!enabled() || values.empty())
+        return;
+    uint64_t local[kBuckets] = {};
+    double top = std::bit_cast<double>(kNegInfBits);
+    for (double v : values) {
+        double x = v * scale;
+        ++local[bucketOf(x)];
+        if (x > top)
+            top = x;
+    }
+    for (int b = 0; b < kBuckets; ++b) {
+        if (local[b])
+            buckets_[b].fetch_add(local[b], std::memory_order_relaxed);
+    }
+    count_.fetch_add(values.size(), std::memory_order_relaxed);
+    // Fold onto the sum as it stands, so the rounding matches one
+    // observe() per value; a concurrent update forces a refold.
+    uint64_t old = sum_bits_.load(std::memory_order_relaxed);
+    for (;;) {
+        double acc = std::bit_cast<double>(old);
+        for (double v : values)
+            acc += v * scale;
+        if (sum_bits_.compare_exchange_weak(
+                old, std::bit_cast<uint64_t>(acc),
+                std::memory_order_relaxed))
+            break;
+    }
+    atomicMaxDouble(max_bits_, top);
 }
 
 void

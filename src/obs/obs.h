@@ -39,6 +39,7 @@
 #include <bit>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -187,6 +188,15 @@ class Histogram
         atomicAddDouble(sum_bits_, v);
         atomicMaxDouble(max_bits_, v);
     }
+
+    /**
+     * Observe values[i] * scale for every i, with the result of one
+     * observe() per product in order: the same count, buckets and
+     * max, and the sum folded in sequence order onto the current
+     * one. The buckets fill locally and publish once per call, not
+     * once per value.
+     */
+    void observeAll(std::span<const double> values, double scale);
 
     uint64_t
     count() const

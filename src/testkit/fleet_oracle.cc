@@ -1,6 +1,7 @@
 #include "fleet_oracle.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <deque>
 #include <map>
@@ -296,82 +297,143 @@ describe(const FleetFuzzFailure &f)
     return os.str();
 }
 
+FleetShape
+fuzzedFleetShape(uint64_t seed)
+{
+    stats::Rng shape_rng(seed ^ 0x666c656574ULL); // "fleet"
+
+    FleetShape shape;
+    FleetConfig &cfg = shape.cfg;
+    cfg.num_servers = static_cast<int>(shape_rng.uniformInt(1, 4));
+    cfg.max_batch = static_cast<int>(shape_rng.uniformInt(1, 8));
+    cfg.routing = static_cast<Routing>(shape_rng.uniformInt(0, 2));
+    cfg.batching = static_cast<Batching>(shape_rng.uniformInt(0, 1));
+    cfg.admit_queue =
+        shape_rng.bernoulli(0.5)
+            ? static_cast<int>(shape_rng.uniformInt(4, 32))
+            : 0;
+    cfg.record_requests = true;
+    if (shape_rng.bernoulli(0.3)) {
+        cfg.autoscaler.enabled = true;
+        cfg.autoscaler.min_servers = 1;
+        cfg.autoscaler.max_servers = 8;
+        cfg.autoscaler.check_interval = 0.5;
+        cfg.autoscaler.provision_lag = shape_rng.uniform(0.0, 5.0);
+    }
+
+    int num_models = static_cast<int>(shape_rng.uniformInt(1, 2));
+    for (int m = 0; m < num_models; ++m) {
+        ModelLoad load;
+        load.workload = InferenceWorkload::fromTraining(
+            m == 0 ? workload::ModelZoo::resnet50()
+                   : workload::ModelZoo::bert());
+        load.arrival.kind = static_cast<stats::ArrivalKind>(
+            shape_rng.uniformInt(0, 2));
+        // Spread offered load from comfortable to overloaded so the
+        // oracle sees stable, saturated and rejecting runs.
+        load.arrival.qps = shape_rng.uniform(50.0, 4000.0);
+        shape.models.push_back(load);
+    }
+    // Drawn last, so the draws above match the shapes seeded before
+    // the SLO controller joined the sweep.
+    if (cfg.autoscaler.enabled && shape_rng.bernoulli(0.5)) {
+        cfg.autoscaler.mode =
+            inference::AutoscalerConfig::Mode::SloLatency;
+        cfg.autoscaler.slo_latency = shape_rng.uniform(0.005, 0.05);
+    }
+
+    const char *autoscale =
+        !cfg.autoscaler.enabled ? "off"
+        : cfg.autoscaler.mode ==
+                inference::AutoscalerConfig::Mode::SloLatency
+            ? "slo"
+            : "queue";
+    std::ostringstream os;
+    os << "servers=" << cfg.num_servers << " max_batch=" << cfg.max_batch
+       << " routing=" << toString(cfg.routing)
+       << " batching=" << toString(cfg.batching)
+       << " admit=" << cfg.admit_queue << " autoscale=" << autoscale
+       << " models=" << shape.models.size();
+    for (const ModelLoad &m : shape.models)
+        os << " [" << toString(m.arrival.kind) << " qps=" << m.arrival.qps
+           << "]";
+    shape.description = os.str();
+    return shape;
+}
+
+uint64_t
+fleetResultDigest(const FleetResult &r)
+{
+    uint64_t h = 0xcbf29ce484222325ULL; // FNV-1a offset basis
+    auto mix = [&](uint64_t word) {
+        for (int byte = 0; byte < 8; ++byte) {
+            h ^= (word >> (8 * byte)) & 0xff;
+            h *= 0x100000001b3ULL; // FNV-1a prime
+        }
+    };
+    auto mixd = [&](double d) { mix(std::bit_cast<uint64_t>(d)); };
+    auto mixi = [&](int64_t i) { mix(static_cast<uint64_t>(i)); };
+
+    for (int64_t v : {r.offered, r.admitted, r.rejected, r.completed,
+                      r.batches, r.scale_ups, r.scale_downs,
+                      static_cast<int64_t>(r.verdict),
+                      static_cast<int64_t>(r.peak_servers),
+                      static_cast<int64_t>(r.final_servers)})
+        mixi(v);
+    for (double v : {r.duration, r.throughput, r.mean_latency,
+                     r.p50_latency, r.p95_latency, r.p99_latency,
+                     r.p999_latency, r.max_latency, r.gpu_utilization,
+                     r.avg_batch})
+        mixd(v);
+    mixi(static_cast<int64_t>(r.servers.size()));
+    for (const inference::ServerStats &s : r.servers) {
+        mixd(s.busy);
+        mixd(s.uptime);
+        mixi(s.batches);
+        mixi(s.items);
+    }
+    mixi(static_cast<int64_t>(r.requests.size()));
+    for (const RequestRecord &rec : r.requests) {
+        mixd(rec.arrival);
+        mixd(rec.start);
+        mixd(rec.completion);
+        mixi(rec.server);
+        mixi(rec.model);
+        mixi(rec.batch);
+        mixi(rec.rejected);
+    }
+    return h;
+}
+
 std::optional<FleetFuzzFailure>
 fuzzFleet(uint64_t base_seed, int count, int64_t num_requests)
 {
     InferenceWorkload resnet = InferenceWorkload::fromTraining(
         workload::ModelZoo::resnet50());
-    InferenceWorkload bert = InferenceWorkload::fromTraining(
-        workload::ModelZoo::bert());
 
     for (int i = 0; i < count; ++i) {
         uint64_t seed = base_seed + static_cast<uint64_t>(i);
-        stats::Rng shape_rng(seed ^ 0x666c656574ULL); // "fleet"
-
-        FleetConfig cfg;
-        cfg.num_servers =
-            static_cast<int>(shape_rng.uniformInt(1, 4));
-        cfg.max_batch = static_cast<int>(shape_rng.uniformInt(1, 8));
-        cfg.routing = static_cast<Routing>(shape_rng.uniformInt(0, 2));
-        cfg.batching =
-            static_cast<Batching>(shape_rng.uniformInt(0, 1));
-        cfg.admit_queue = shape_rng.bernoulli(0.5)
-                              ? static_cast<int>(
-                                    shape_rng.uniformInt(4, 32))
-                              : 0;
-        cfg.record_requests = true;
-        if (shape_rng.bernoulli(0.3)) {
-            cfg.autoscaler.enabled = true;
-            cfg.autoscaler.min_servers = 1;
-            cfg.autoscaler.max_servers = 8;
-            cfg.autoscaler.check_interval = 0.5;
-            cfg.autoscaler.provision_lag =
-                shape_rng.uniform(0.0, 5.0);
-        }
-
-        std::vector<ModelLoad> models;
-        int num_models =
-            static_cast<int>(shape_rng.uniformInt(1, 2));
-        for (int m = 0; m < num_models; ++m) {
-            ModelLoad load;
-            load.workload = m == 0 ? resnet : bert;
-            load.arrival.kind = static_cast<stats::ArrivalKind>(
-                shape_rng.uniformInt(0, 2));
-            // Spread offered load from comfortable to overloaded so
-            // the oracle sees stable, saturated and rejecting runs.
-            load.arrival.qps = shape_rng.uniform(50.0, 4000.0);
-            models.push_back(load);
-        }
-
-        std::ostringstream shape;
-        shape << "servers=" << cfg.num_servers
-              << " max_batch=" << cfg.max_batch << " routing="
-              << toString(cfg.routing) << " batching="
-              << toString(cfg.batching) << " admit="
-              << cfg.admit_queue << " autoscale="
-              << (cfg.autoscaler.enabled ? "on" : "off")
-              << " models=" << models.size();
-        for (const ModelLoad &m : models)
-            shape << " [" << toString(m.arrival.kind) << " qps="
-                  << m.arrival.qps << "]";
+        FleetShape shape = fuzzedFleetShape(seed);
+        const FleetConfig &cfg = shape.cfg;
 
         FleetResult r;
         try {
-            r = FleetSimulator(cfg).run(models, num_requests, seed);
+            r = FleetSimulator(cfg).run(shape.models, num_requests,
+                                        seed);
         } catch (const std::exception &e) {
             return FleetFuzzFailure{
                 seed, std::string("unexpected throw: ") + e.what(),
-                shape.str()};
+                shape.description};
         }
-        if (auto msg = checkFleetInvariants(cfg, models, r))
-            return FleetFuzzFailure{seed, *msg, shape.str()};
+        if (auto msg = checkFleetInvariants(cfg, shape.models, r))
+            return FleetFuzzFailure{seed, *msg, shape.description};
 
         // Every seed also replays the byte-exact differential.
         double qps = 100.0 + static_cast<double>(seed % 1500);
         if (auto msg = checkSingleServerEquivalence(
                 resnet, qps, std::min<int64_t>(num_requests, 1500),
                 seed, cfg.max_batch))
-            return FleetFuzzFailure{seed, *msg, shape.str()};
+            return FleetFuzzFailure{seed, *msg, shape.description};
     }
     return std::nullopt;
 }

@@ -77,6 +77,31 @@ checkSingleServerEquivalence(const inference::InferenceWorkload &w,
                              double qps, int64_t num_requests,
                              uint64_t seed, int max_batch = 8);
 
+/** One fuzzed fleet: its config, its model loads and its shape. */
+struct FleetShape
+{
+    inference::FleetConfig cfg;
+    std::vector<inference::ModelLoad> models;
+    /** Human-readable shape (servers, routing, batching, ...). */
+    std::string description;
+};
+
+/**
+ * The fleet shape fuzz seed @p seed derives: servers, max batch,
+ * routing, batching, admission bound, autoscaler (off, queue-depth
+ * or SLO) and one or two model streams of any arrival kind, with
+ * record_requests on. fuzzFleet runs exactly these shapes.
+ */
+FleetShape fuzzedFleetShape(uint64_t seed);
+
+/**
+ * 64-bit FNV-1a digest of everything a run reports: every
+ * RequestRecord field, every ServerStats entry and every aggregate
+ * of @p r, doubles by bit pattern. Two runs digest equal only when
+ * their results are ==-identical.
+ */
+uint64_t fleetResultDigest(const inference::FleetResult &r);
+
 /** A fleet-fuzz counterexample. */
 struct FleetFuzzFailure
 {

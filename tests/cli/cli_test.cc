@@ -488,6 +488,33 @@ TEST(CliTest, ServeAndCapacityRejectBadSloAndMaxServersBeforePrinting)
     }
 }
 
+// The integer fleet flags are range-checked while the flags are
+// parsed: NaN, infinities, fractions and out-of-range values print
+// one error line and nothing else, never a wrapped-around cast.
+TEST(CliTest, ServeAndCapacityRejectBadIntegerFleetFlagsBeforePrinting)
+{
+    for (const char *flag :
+         {"--servers", "--max-batch", "--admit", "--requests"}) {
+        for (const char *bad : {"nan", "1e300", "-1", "inf", "2.5"}) {
+            for (const char *cmd : {"serve", "capacity"}) {
+                auto r = runCli({cmd, "resnet50", flag, bad});
+                std::string what =
+                    std::string(cmd) + " " + flag + " " + bad;
+                EXPECT_EQ(r.code, 1) << what;
+                EXPECT_EQ(r.out, "") << what;
+                EXPECT_EQ(r.err.rfind("error: flag " +
+                                          std::string(flag),
+                                      0),
+                          0u)
+                    << what << ": " << r.err;
+                EXPECT_EQ(
+                    std::count(r.err.begin(), r.err.end(), '\n'), 1)
+                    << what << ": " << r.err;
+            }
+        }
+    }
+}
+
 // Search probes stay out of the telemetry: the latency histogram and
 // the request counter describe only the run printed on stdout.
 TEST(CliTest, ServeAndCapacityMetricsCountOnlyTheUsersRun)

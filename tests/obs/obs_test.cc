@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -23,6 +24,7 @@
 #include "obs/obs.h"
 #include "runtime/parallel.h"
 #include "runtime/thread_pool.h"
+#include "stats/rng.h"
 
 namespace paichar::obs {
 namespace {
@@ -93,6 +95,40 @@ TEST(ObsMetricsTest, HistogramStatsAreExactWhereDocumented)
     h.reset();
     EXPECT_EQ(h.count(), 0u);
     EXPECT_DOUBLE_EQ(h.max(), 0.0);
+}
+
+// observeAll is the batched form of observe(): on the same sequence
+// it must leave every statistic bit-identical, including the sum,
+// whose rounding depends on folding in order onto the prior sum.
+TEST(ObsMetricsTest, ObserveAllMatchesPerValueObserveExactly)
+{
+    std::vector<double> seq;
+    stats::Rng rng(11);
+    for (int i = 0; i < 5000; ++i)
+        seq.push_back(rng.uniform(0.0, 0.05));
+    seq.push_back(0.0);
+    seq.push_back(-1e-3);
+    seq.push_back(3e12); // lands in the top bucket once scaled
+    constexpr double kScale = 1e6;
+
+    Histogram &one = histogram("test.hist_observe_each");
+    Histogram &all = histogram("test.hist_observe_all");
+    for (Histogram *h : {&one, &all}) {
+        h->reset();
+        h->observe(0.1); // a prior sum the batch must fold onto
+        h->observe(7.25);
+    }
+    for (double v : seq)
+        one.observe(v * kScale);
+    all.observeAll(seq, kScale);
+
+    EXPECT_EQ(all.count(), one.count());
+    EXPECT_EQ(std::bit_cast<uint64_t>(all.sum()),
+              std::bit_cast<uint64_t>(one.sum()));
+    EXPECT_EQ(std::bit_cast<uint64_t>(all.max()),
+              std::bit_cast<uint64_t>(one.max()));
+    for (int b = 0; b < Histogram::kBuckets; ++b)
+        EXPECT_EQ(all.bucketCount(b), one.bucketCount(b)) << b;
 }
 
 TEST(ObsMetricsTest, GaugeSetRatchetsPeakButNeverLowersIt)
@@ -185,6 +221,32 @@ TEST(ObsMetricsTest, HistogramBucketZeroContract)
     EXPECT_EQ(h.bucketCount(1), 2u);
 }
 
+// Every power of two, its neighbours one ULP either side, and values
+// across the range land in the bucket the contract defines: the
+// smallest i with v <= 2^i, capped at the top bucket.
+TEST(ObsMetricsTest, HistogramBucketsMatchTheirDefinitionAtEveryEdge)
+{
+    Histogram &h = histogram("test.hist_bucket_edges");
+    std::vector<double> values;
+    for (int k = 0; k <= 66; ++k) {
+        double p = std::ldexp(1.0, k);
+        values.push_back(std::nextafter(p, 0.0));
+        values.push_back(p);
+        values.push_back(std::nextafter(p, INFINITY));
+        values.push_back(1.5 * p);
+    }
+    values.push_back(INFINITY);
+    for (double v : values) {
+        int want = 0;
+        while (want < Histogram::kBuckets - 1 &&
+               v > Histogram::bucketUpperBound(want))
+            ++want;
+        h.reset();
+        h.observe(v);
+        EXPECT_EQ(h.bucketCount(want), 1u) << v;
+    }
+}
+
 TEST(ObsMetricsTest, OpenMetricsRenderFollowsTheFormat)
 {
     resetMetrics();
@@ -249,6 +311,8 @@ TEST(ObsMetricsTest, DisabledRecordingDropsEverything)
     c.add(5);
     g.add(5);
     h.observe(5.0);
+    const double batch[] = {1.0, 2.0};
+    h.observeAll(batch, 1.0);
     setEnabled(true);
     EXPECT_EQ(c.value(), 0u);
     EXPECT_EQ(g.value(), 0);
@@ -261,12 +325,19 @@ TEST(ObsMetricsTest, ConcurrentCountsAreExact)
     Histogram &h = histogram("test.concurrent_hist");
     runtime::ThreadPool pool(8);
     constexpr size_t kIters = 20000;
+    Histogram &batched = histogram("test.concurrent_hist_batched");
     runtime::parallelFor(&pool, kIters, [&](size_t i) {
         c.add();
         h.observe(static_cast<double>(i % 16));
+        const double pair[] = {static_cast<double>(i % 16), 1.0};
+        batched.observeAll(pair, 1.0);
     });
     EXPECT_EQ(c.value(), kIters);
     EXPECT_EQ(h.count(), kIters);
+    // Small integers sum exactly in any order, so a lost or doubled
+    // fold of a contended batch would show.
+    EXPECT_EQ(batched.count(), 2 * kIters);
+    EXPECT_EQ(batched.sum(), h.sum() + static_cast<double>(kIters));
 }
 
 TEST(ObsMetricsTest, ResetMetricsZeroesTheRegistry)
