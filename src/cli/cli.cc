@@ -12,6 +12,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <new>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -412,7 +413,8 @@ formatFromExtension(const std::string &path)
 int
 cmdGenerate(const Args &args, std::ostream &out, std::ostream &err)
 {
-    auto jobs_n = static_cast<size_t>(args.numFlag("jobs", 20000));
+    auto jobs_n = static_cast<size_t>(
+        args.intFlag("jobs", 20000, 0, int64_t{1} << 53));
     auto seed = static_cast<uint64_t>(args.numFlag("seed", 20181201));
     auto out_file = args.flag("out");
     // Like convert: the --out extension picks the format (.paib/.bin
@@ -1062,16 +1064,18 @@ std::optional<std::string> readTextFile(const std::string &path,
 int
 cmdSchedule(const Args &args, std::ostream &out, std::ostream &err)
 {
-    auto store = loadTraceStore(args, err);
-    if (!store)
-        return 1;
-    auto jobs = std::move(*store).materialize();
     clustersim::SchedulerConfig cfg;
-    cfg.num_servers =
-        static_cast<int>(args.numFlag("servers", 64));
+    cfg.num_servers = static_cast<int>(args.intFlag(
+        "servers", 64, 1, std::numeric_limits<int>::max()));
     cfg.nvlink_fraction = args.numFlag("nvlink-frac", 0.5);
+    if (!(cfg.nvlink_fraction >= 0.0 && cfg.nvlink_fraction <= 1.0))
+        throw UsageError("error: flag --nvlink-frac expects a fraction "
+                         "in [0, 1]");
     cfg.port_ps_to_allreduce = args.numFlag("port", 0) != 0;
     double rate = args.numFlag("rate", 150.0);
+    if (!(rate > 0.0 && std::isfinite(rate)))
+        throw UsageError("error: flag --rate expects a positive "
+                         "finite jobs/hour");
 
     std::string policy_name = args.choiceFlag(
         "policy", "backfill", clustersim::policyNames());
@@ -1088,7 +1092,7 @@ cmdSchedule(const Args &args, std::ostream &out, std::ostream &err)
         throw UsageError("error: flag --quantile expects a value "
                          "in [0, 1]");
     cfg.old_gen_fraction = args.numFlag("hetero", 0.0);
-    if (cfg.old_gen_fraction < 0.0 || cfg.old_gen_fraction > 1.0)
+    if (!(cfg.old_gen_fraction >= 0.0 && cfg.old_gen_fraction <= 1.0))
         throw UsageError("error: flag --hetero expects a fraction "
                          "in [0, 1]");
     bool compare_fifo = args.numFlag("compare-fifo", 0) != 0;
@@ -1154,6 +1158,10 @@ cmdSchedule(const Args &args, std::ostream &out, std::ostream &err)
         };
     }
 
+    auto store = loadTraceStore(args, err);
+    if (!store)
+        return 1;
+    auto jobs = std::move(*store).materialize();
     // Clamp jobs to the cluster and build a submission stream.
     for (auto &j : jobs)
         j.num_cnodes = std::min(j.num_cnodes, cfg.num_servers);
@@ -1386,21 +1394,23 @@ dispatch(const std::string &cmd, const Args &args, std::ostream &out,
         return cmdDiagnose(args, out, err);
     if (cmd == "plan")
         return cmdPlan(args, out, err);
-    if (cmd == "serve" || cmd == "capacity") {
-        // The fleet layer validates by throwing invalid_argument,
-        // and its bad values (qps, requests, max-batch, ...) come
-        // straight from the flags: report them as CLI errors
-        // instead of letting the exception abort the process.
+    if (cmd == "serve" || cmd == "capacity" || cmd == "schedule") {
+        // The fleet and scheduler layers validate by throwing
+        // invalid_argument, and their bad values (qps, requests,
+        // servers, ...) come straight from the flags: report them as
+        // CLI errors instead of letting the exception abort the
+        // process.
         try {
-            return cmd == "serve" ? cmdServe(args, out, err)
-                                  : cmdCapacity(args, out, err);
+            if (cmd == "serve")
+                return cmdServe(args, out, err);
+            if (cmd == "capacity")
+                return cmdCapacity(args, out, err);
+            return cmdSchedule(args, out, err);
         } catch (const std::invalid_argument &e) {
             err << "error: " << e.what() << "\n";
             return 1;
         }
     }
-    if (cmd == "schedule")
-        return cmdSchedule(args, out, err);
     if (cmd == "obs")
         return cmdObs(args, out, err);
     return std::nullopt;
@@ -1618,6 +1628,14 @@ run(const std::vector<std::string> &args, std::ostream &out,
             return *rc;
     } catch (const UsageError &e) {
         err << e.what() << "\n";
+        return 1;
+    } catch (const std::bad_alloc &) {
+        // A size inside a flag's range can still exceed memory
+        // (serve --requests 1e15): one error line, not terminate.
+        err << "error: out of memory\n";
+        return 1;
+    } catch (const std::length_error &e) {
+        err << "error: size too large (" << e.what() << ")\n";
         return 1;
     }
 

@@ -1,11 +1,16 @@
 #include "scheduler.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <deque>
 #include <limits>
+#include <map>
 #include <optional>
+#include <stdexcept>
+#include <string>
+#include <tuple>
 
 #include "hw/hardware_config.h"
 #include "obs/job_log.h"
@@ -71,28 +76,59 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /** (server index, gpus taken) pairs of one job's allocation. */
 using Allocation = std::vector<std::pair<int, int>>;
 
-/** Mutable cluster capacity. */
+/**
+ * Mutable cluster capacity. Next to the per-server free counts it
+ * keeps, per NVLink class, a histogram of servers by free-GPU count
+ * and the cluster-wide free total, so "could anything fit?" and the
+ * timeline's free-GPU level cost O(GPUs per server), not a scan.
+ */
 struct Capacity
 {
     std::vector<int> free_gpus;
     std::vector<bool> nvlink;
     /** Per-server generation speed factor (1.0 = Table I). */
     std::vector<double> speed;
+    /** servers_with[nvl][g]: NVLink-class-nvl servers with g free. */
+    std::array<std::vector<int>, 2> servers_with;
+    int64_t total_free = 0;
+
+    /** Build the histogram and total from free_gpus and nvlink. */
+    void
+    countFree(int gpus_per_server)
+    {
+        for (auto &h : servers_with)
+            h.assign(static_cast<size_t>(gpus_per_server) + 1, 0);
+        total_free = 0;
+        for (size_t s = 0; s < free_gpus.size(); ++s) {
+            ++servers_with[nvlink[s]][static_cast<size_t>(free_gpus[s])];
+            total_free += free_gpus[s];
+        }
+    }
+
+    /** Servers of NVLink class @p nvl with at least @p gpus free. */
+    int
+    serversWithAtLeast(bool nvl, int gpus) const
+    {
+        const std::vector<int> &h = servers_with[nvl];
+        int n = 0;
+        for (size_t g = static_cast<size_t>(std::max(gpus, 0));
+             g < h.size(); ++g)
+            n += h[g];
+        return n;
+    }
 
     void
     take(const Allocation &alloc)
     {
-        for (auto [s, g] : alloc) {
-            free_gpus[static_cast<size_t>(s)] -= g;
-            assert(free_gpus[static_cast<size_t>(s)] >= 0);
-        }
+        for (auto [s, g] : alloc)
+            adjust(static_cast<size_t>(s), -g);
     }
 
     void
     release(const Allocation &alloc)
     {
         for (auto [s, g] : alloc)
-            free_gpus[static_cast<size_t>(s)] += g;
+            adjust(static_cast<size_t>(s), g);
     }
 
     /** Slowest generation among @p alloc's servers. */
@@ -105,6 +141,19 @@ struct Capacity
             v = std::min(v, speed[static_cast<size_t>(s)]);
         }
         return v;
+    }
+
+  private:
+    void
+    adjust(size_t s, int delta)
+    {
+        std::vector<int> &h = servers_with[nvlink[s]];
+        --h[static_cast<size_t>(free_gpus[s])];
+        free_gpus[s] += delta;
+        assert(free_gpus[s] >= 0 &&
+               static_cast<size_t>(free_gpus[s]) < h.size());
+        ++h[static_cast<size_t>(free_gpus[s])];
+        total_free += delta;
     }
 };
 
@@ -119,6 +168,9 @@ bool
 findOneServer(const Capacity &cap, int gpus, bool need_nvlink,
               PlacementStrategy strategy, Allocation *alloc)
 {
+    if (cap.serversWithAtLeast(true, gpus) == 0 &&
+        (need_nvlink || cap.serversWithAtLeast(false, gpus) == 0))
+        return false;
     if (strategy == PlacementStrategy::BestFit) {
         // (prefer non-NVLink when allowed, leftover, -speed, index)
         int best = -1;
@@ -182,6 +234,10 @@ findSpreadServers(const Capacity &cap, int count,
                   PlacementStrategy strategy, Allocation *alloc)
 {
     alloc->clear();
+    if (cap.serversWithAtLeast(false, 1) +
+            cap.serversWithAtLeast(true, 1) <
+        count)
+        return false;
     if (strategy == PlacementStrategy::BestFit) {
         std::vector<int> candidates;
         for (size_t s = 0; s < cap.free_gpus.size(); ++s) {
@@ -242,6 +298,11 @@ findFor(const Capacity &cap, const TrainingJob &job,
         // Whole NVLink servers, packed.
         int need = job.num_cnodes;
         alloc->clear();
+        if (static_cast<int64_t>(cap.serversWithAtLeast(
+                true, cfg.gpus_per_server)) *
+                cfg.gpus_per_server <
+            need)
+            return false;
         for (size_t s = 0; s < cap.free_gpus.size() && need > 0;
              ++s) {
             if (!cap.nvlink[s] ||
@@ -258,6 +319,148 @@ findFor(const Capacity &cap, const TrainingJob &job,
     return false;
 }
 
+/**
+ * The spf/spf-preempt pending queue: one min-heap of request indices
+ * per placement shape, ordered by (predicted remaining seconds,
+ * request index). A job's shape -- (executed arch, cNodes,
+ * port-eligible) -- is all that decides whether it fits, and capacity
+ * only shrinks while a pass places jobs. So one scan merges the shape
+ * heads in key order, and the first failed search retires the whole
+ * shape for the rest of the scan: every job behind it would fail the
+ * same search.
+ */
+class ShapeQueues
+{
+  public:
+    using Shape = std::tuple<ArchType, int, bool>;
+
+    /**
+     * @param keys Predicted remaining seconds per request; a queued
+     *             request's key must not change.
+     */
+    explicit ShapeQueues(const std::vector<double> &keys)
+        : after_{&keys}
+    {}
+
+    /** Queue request @p req of shape @p shape. */
+    void
+    push(const Shape &shape, size_t req)
+    {
+        auto [it, added] = shape_ids_.try_emplace(shape, heaps_.size());
+        if (added)
+            heaps_.emplace_back();
+        std::vector<size_t> &h = heaps_[it->second];
+        h.push_back(req);
+        std::push_heap(h.begin(), h.end(), after_);
+        ++size_;
+    }
+
+    size_t size() const { return size_; }
+
+    /** Start a scan with every non-empty shape live. */
+    void
+    beginScan()
+    {
+        heads_.clear();
+        for (size_t s = 0; s < heaps_.size(); ++s) {
+            if (!heaps_[s].empty())
+                heads_.push_back({heaps_[s].front(), s});
+        }
+        std::make_heap(heads_.begin(), heads_.end(), after_);
+    }
+
+    /** The scan's next request in key order; nullopt when done. */
+    std::optional<size_t>
+    next() const
+    {
+        if (heads_.empty())
+            return std::nullopt;
+        return heads_.front().first;
+    }
+
+    /** The request next() named was placed: dequeue it. */
+    void
+    placed()
+    {
+        size_t s = heads_.front().second;
+        retire(); // the shape stays live with its next request
+        popFront(s);
+        if (!heaps_[s].empty()) {
+            heads_.push_back({heaps_[s].front(), s});
+            std::push_heap(heads_.begin(), heads_.end(), after_);
+        }
+    }
+
+    /** The request next() named did not fit: retire its shape. */
+    void
+    retire()
+    {
+        std::pop_heap(heads_.begin(), heads_.end(), after_);
+        heads_.pop_back();
+    }
+
+    /** The shape holding the queue's smallest key (size() > 0). */
+    size_t
+    minShape() const
+    {
+        size_t best = heaps_.size();
+        for (size_t s = 0; s < heaps_.size(); ++s) {
+            if (!heaps_[s].empty() &&
+                (best == heaps_.size() ||
+                 after_(heaps_[best].front(), heaps_[s].front())))
+                best = s;
+        }
+        return best;
+    }
+
+    /** Smallest-key request of shape @p s. */
+    size_t front(size_t s) const { return heaps_[s].front(); }
+
+    /** Dequeue the smallest-key request of shape @p s. */
+    void
+    popFront(size_t s)
+    {
+        std::vector<size_t> &h = heaps_[s];
+        std::pop_heap(h.begin(), h.end(), after_);
+        h.pop_back();
+        --size_;
+    }
+
+  private:
+    /** (head request, shape) of a live shape. */
+    using Head = std::pair<size_t, size_t>;
+
+    /**
+     * Heap order: true when request @p a sorts after @p b (by key,
+     * then by request index), so every heap is a min-heap.
+     */
+    struct After
+    {
+        const std::vector<double> *keys;
+
+        bool
+        operator()(size_t a, size_t b) const
+        {
+            if ((*keys)[a] != (*keys)[b])
+                return (*keys)[b] < (*keys)[a];
+            return b < a;
+        }
+
+        bool
+        operator()(const Head &a, const Head &b) const
+        {
+            return (*this)(a.first, b.first);
+        }
+    };
+
+    After after_;
+    std::map<Shape, size_t> shape_ids_;
+    std::vector<std::vector<size_t>> heaps_;
+    /** Live shapes of the current scan. */
+    std::vector<Head> heads_;
+    size_t size_ = 0;
+};
+
 /** True when the policy orders or gates the queue by predictions. */
 bool
 predictionDriven(Policy p)
@@ -272,13 +475,23 @@ ClusterScheduler::ClusterScheduler(const SchedulerConfig &cfg,
                                    const core::AnalyticalModel &model)
     : cfg_(cfg), model_(model)
 {
-    assert(cfg_.num_servers >= 1);
-    assert(cfg_.gpus_per_server >= 1);
-    assert(cfg_.nvlink_fraction >= 0.0 && cfg_.nvlink_fraction <= 1.0);
-    assert(cfg_.old_gen_fraction >= 0.0 &&
-           cfg_.old_gen_fraction <= 1.0);
-    assert(cfg_.preempt_ratio > 1.0 &&
-           "preempt_ratio <= 1 does not terminate");
+    auto bad = [](const std::string &what, double got) {
+        throw std::invalid_argument("ClusterScheduler: " + what +
+                                    ", got " + std::to_string(got));
+    };
+    if (cfg_.num_servers < 1)
+        bad("num_servers must be >= 1", cfg_.num_servers);
+    if (cfg_.gpus_per_server < 1)
+        bad("gpus_per_server must be >= 1", cfg_.gpus_per_server);
+    if (!(cfg_.nvlink_fraction >= 0.0 && cfg_.nvlink_fraction <= 1.0))
+        bad("nvlink_fraction must be in [0, 1]", cfg_.nvlink_fraction);
+    if (!(cfg_.old_gen_fraction >= 0.0 &&
+          cfg_.old_gen_fraction <= 1.0))
+        bad("old_gen_fraction must be in [0, 1]",
+            cfg_.old_gen_fraction);
+    if (!(cfg_.preempt_ratio > 1.0))
+        bad("preempt_ratio must be > 1 (<= 1 does not terminate)",
+            cfg_.preempt_ratio);
 }
 
 bool
@@ -344,6 +557,7 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
         cap.speed[s] = g.speed;
         cap.nvlink[s] = cap.nvlink[s] && g.has_nvlink;
     }
+    cap.countFree(cfg_.gpus_per_server);
 
     sim::EventQueue eq; // job completions
 
@@ -394,31 +608,6 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
     // (slot, gen) pairs whose completion fired in the last drain.
     std::vector<std::pair<size_t, uint64_t>> finished;
 
-    ClusterOutcome out;
-    out.jobs.reserve(requests.size());
-    std::deque<size_t> pending; // indices into requests
-    size_t arrival = 0;
-    double now = 0.0;
-    double gpu_seconds = 0.0;
-
-    // Refresh the timeline level probes with the control loop's view
-    // of the cluster at `now`. Last-set-wins within a window, so the
-    // value sampled at each window close is the state just before
-    // time crossed the boundary.
-    auto sampleLevels = [&] {
-        if (!tl)
-            return;
-        tl_pending->set(static_cast<double>(pending.size()));
-        int running = 0;
-        for (const Slot &sl : slots)
-            running += sl.active ? 1 : 0;
-        tl_running->set(static_cast<double>(running));
-        int64_t free_g = 0;
-        for (int g : cap.free_gpus)
-            free_g += g;
-        tl_free_gpus->set(static_cast<double>(free_g));
-    };
-
     // As-submitted step times are pure per-job model evaluations:
     // price them up front in parallel. Ported placements execute a
     // different architecture and are priced on demand.
@@ -458,6 +647,32 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
     // job is re-queued with only its unfinished steps.
     std::vector<double> pred_remaining = pred_run;
 
+    ClusterOutcome out;
+    out.jobs.reserve(requests.size());
+    // Pending requests: spf/spf-preempt index them by shape, every
+    // other policy keeps arrival order.
+    const bool spf = cfg_.policy == Policy::Spf ||
+                     cfg_.policy == Policy::SpfPreempt;
+    std::deque<size_t> pending; // indices into requests
+    ShapeQueues spf_queue(pred_remaining);
+    auto queued = [&] { return pending.size() + spf_queue.size(); };
+    int64_t running = 0; // active slots
+    size_t arrival = 0;
+    double now = 0.0;
+    double gpu_seconds = 0.0;
+
+    // Refresh the timeline level probes with the control loop's view
+    // of the cluster at `now`. Last-set-wins within a window, so the
+    // value sampled at each window close is the state just before
+    // time crossed the boundary.
+    auto sampleLevels = [&] {
+        if (!tl)
+            return;
+        tl_pending->set(static_cast<double>(queued()));
+        tl_running->set(static_cast<double>(running));
+        tl_free_gpus->set(static_cast<double>(cap.total_free));
+    };
+
     // Per-request mutable state across preemption/restart cycles.
     std::vector<int64_t> steps_remaining(requests.size());
     for (size_t i = 0; i < requests.size(); ++i)
@@ -469,6 +684,30 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
     // architecture/porting decision), as a checkpoint restore would.
     std::vector<std::optional<TrainingJob>> pinned_exec(
         requests.size());
+
+    // PS/Worker jobs small enough to port try AllReduce-Local first.
+    auto portEligible = [&](const TrainingJob &job) {
+        return cfg_.port_ps_to_allreduce &&
+               job.arch == ArchType::PsWorker &&
+               job.features.weightBytes() <= cfg_.gpu_memory_bytes;
+    };
+    auto enqueue = [&](size_t req) {
+        if (!spf) {
+            pending.push_back(req);
+            return;
+        }
+        // The placement shape: the pinned plan of a restarted job,
+        // else the job as submitted.
+        const std::optional<TrainingJob> &pinned = pinned_exec[req];
+        const TrainingJob &job = requests[req].job;
+        spf_queue.push(pinned ? ShapeQueues::Shape{pinned->arch,
+                                                   pinned->num_cnodes,
+                                                   false}
+                              : ShapeQueues::Shape{job.arch,
+                                                   job.num_cnodes,
+                                                   portEligible(job)},
+                       req);
+    };
 
     auto emitJobRecord = [&](size_t req_index, const JobOutcome &jo,
                              const TrainingJob &executed,
@@ -527,9 +766,7 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
                 return false;
             }
         } else {
-            if (cfg_.port_ps_to_allreduce &&
-                job.arch == ArchType::PsWorker &&
-                job.features.weightBytes() <= cfg_.gpu_memory_bytes) {
+            if (portEligible(job)) {
                 int n = std::min(job.num_cnodes, cfg_.gpus_per_server);
                 if (findOneServer(cap, n, /*need_nvlink=*/true,
                                   cfg_.placement, &alloc)) {
@@ -612,6 +849,7 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
                     : now + runtime;
             sl.gpus = gpus;
             sl.active = true;
+            ++running;
             uint64_t gen = ++sl.gen;
             eq.schedule(now + runtime, [&finished, slot, gen] {
                 finished.push_back({slot, gen});
@@ -690,10 +928,11 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
                 pred_per_step[sl.req] * static_cast<double>(left);
         }
         pinned_exec[sl.req] = sl.executed;
-        pending.push_back(sl.req);
+        enqueue(sl.req);
 
         ++sl.gen; // invalidate the in-flight completion event
         sl.active = false;
+        --running;
         sl.alloc.clear();
         free_slots.push_back(slot);
     };
@@ -763,38 +1002,31 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
           }
           case Policy::Spf:
           case Policy::SpfPreempt: {
-            bool progress = true;
-            while (progress && !pending.empty()) {
-                progress = false;
-                std::vector<size_t> order(pending.begin(),
-                                          pending.end());
-                std::sort(order.begin(), order.end(),
-                          [&](size_t a, size_t b) {
-                              if (pred_remaining[a] !=
-                                  pred_remaining[b]) {
-                                  return pred_remaining[a] <
-                                         pred_remaining[b];
-                              }
-                              return a < b;
-                          });
-                for (size_t req : order) {
-                    if (tryPlace(req)) {
-                        pending.erase(std::find(pending.begin(),
-                                                pending.end(), req));
-                        progress = true;
-                        break;
-                    }
+            // Capacity only shrinks within a scan, so a job that
+            // failed would fail again, and so would every later job
+            // of its shape: one forward scan in key order starts
+            // every job that can start, in the order a rescan after
+            // each placement would.
+            while (true) {
+                spf_queue.beginScan();
+                while (std::optional<size_t> req = spf_queue.next()) {
+                    if (tryPlace(*req))
+                        spf_queue.placed();
+                    else
+                        spf_queue.retire();
                 }
-                if (progress ||
-                    cfg_.policy != Policy::SpfPreempt ||
-                    order.empty()) {
-                    continue;
+                if (cfg_.policy != Policy::SpfPreempt ||
+                    spf_queue.size() == 0) {
+                    break;
                 }
                 // Nothing fits. Let the shortest queued job preempt
                 // the running job with the longest predicted
                 // remaining time, when the imbalance is worth a
-                // restart.
-                size_t head = order.front();
+                // restart. A placement after a preemption restarts
+                // the scan: released GPUs revive every shape.
+                size_t head_shape = spf_queue.minShape();
+                size_t head = spf_queue.front(head_shape);
+                bool progress = false;
                 while (true) {
                     size_t victim = static_cast<size_t>(-1);
                     double victim_rem = -1.0;
@@ -826,21 +1058,25 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
                                           pred_remaining[head]) {
                         break;
                     }
+                    // The victim re-queues with a key above the
+                    // head's (victim_rem > preempt_ratio x head's),
+                    // so the head stays its shape's front.
                     preempt(victim);
                     if (tryPlace(head)) {
-                        pending.erase(std::find(pending.begin(),
-                                                pending.end(), head));
+                        spf_queue.popFront(head_shape);
                         progress = true;
                         break;
                     }
                 }
+                if (!progress)
+                    break;
             }
             break;
           }
         }
     };
 
-    while (arrival < requests.size() || !pending.empty() ||
+    while (arrival < requests.size() || queued() > 0 ||
            eq.pending() > 0) {
         // Admit all submissions up to `now`, dropping jobs the
         // cluster can never host (e.g. more cNodes than NVLink
@@ -850,7 +1086,7 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
         while (arrival < requests.size() &&
                requests[arrival].submit_time <= now) {
             if (placeable(requests[arrival].job)) {
-                pending.push_back(arrival);
+                enqueue(arrival);
                 if (tl_arrivals)
                     tl_arrivals->add();
             } else {
@@ -913,6 +1149,7 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
                           sl.alloc.empty() ? -1
                                            : sl.alloc.front().first);
             sl.active = false;
+            --running;
             sl.alloc.clear();
             free_slots.push_back(slot);
         }
@@ -921,7 +1158,7 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
     }
     // Every admitted job is placeable on an empty cluster, so the
     // queue always drains once the running set does.
-    assert(pending.empty() && "placeable job starved the queue");
+    assert(queued() == 0 && "placeable job starved the queue");
 
     // Aggregate metrics.
     obs::counter("clustersim.jobs_scheduled").add(out.jobs.size());
@@ -953,8 +1190,18 @@ poissonRequests(const std::vector<TrainingJob> &jobs,
                 double jobs_per_hour, double steps_median,
                 double steps_sigma, uint64_t seed)
 {
-    assert(jobs_per_hour > 0.0);
-    assert(steps_median >= 1.0 && steps_sigma >= 0.0);
+    if (!(jobs_per_hour > 0.0 && std::isfinite(jobs_per_hour)))
+        throw std::invalid_argument(
+            "poissonRequests: jobs_per_hour must be positive and "
+            "finite, got " +
+            std::to_string(jobs_per_hour));
+    if (!(steps_median >= 1.0 && std::isfinite(steps_median)) ||
+        !(steps_sigma >= 0.0 && std::isfinite(steps_sigma)))
+        throw std::invalid_argument(
+            "poissonRequests: steps_median must be finite and >= 1 "
+            "and steps_sigma finite and >= 0, got " +
+            std::to_string(steps_median) + " and " +
+            std::to_string(steps_sigma));
     stats::Rng rng(seed);
     std::vector<JobRequest> requests;
     requests.reserve(jobs.size());

@@ -255,6 +255,9 @@ class ClusterScheduler
      * @param cfg   Cluster shape and policy.
      * @param model Analytical model supplying per-step times; its
      *              ClusterSpec must match the per-server hardware.
+     * @throws std::invalid_argument on num_servers or
+     *         gpus_per_server < 1, a fraction outside [0, 1] or
+     *         preempt_ratio <= 1.
      */
     ClusterScheduler(const SchedulerConfig &cfg,
                      const core::AnalyticalModel &model);
@@ -282,6 +285,8 @@ class ClusterScheduler
  * @param steps_median   Median job length in steps.
  * @param steps_sigma    Lognormal sigma of the length.
  * @param seed           Arrival/length randomness seed.
+ * @throws std::invalid_argument unless jobs_per_hour > 0,
+ *         steps_median >= 1 and steps_sigma >= 0, all finite.
  */
 std::vector<JobRequest>
 poissonRequests(const std::vector<workload::TrainingJob> &jobs,

@@ -80,11 +80,15 @@ CollectiveOps::runPhases(std::vector<sim::Resource *> links,
     st->done = std::move(done);
 
     // Launch one phase: every link carries its chunk concurrently; the
-    // next phase starts when the slowest finishes (ring barrier).
+    // next phase starts when the slowest finishes (ring barrier). The
+    // closure holds itself weakly: the pending event or link callback
+    // that runs it owns it, so it dies with the last phase instead of
+    // keeping itself (and st) alive through a shared_ptr cycle.
     auto launch = std::make_shared<std::function<void()>>();
     double latency = phase_latency_;
     sim::EventQueue &eq = eq_;
-    *launch = [st, launch, latency, &eq] {
+    *launch = [st, self = std::weak_ptr(launch), latency, &eq] {
+        auto launch = self.lock();
         st->outstanding = st->links.size();
         for (sim::Resource *link : st->links) {
             link->submit(

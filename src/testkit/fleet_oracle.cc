@@ -1,7 +1,6 @@
 #include "fleet_oracle.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <deque>
 #include <map>
@@ -10,6 +9,7 @@
 #include "stats/arrival.h"
 #include "stats/cdf.h"
 #include "stats/rng.h"
+#include "testkit/digest.h"
 #include "workload/model_zoo.h"
 
 namespace paichar::testkit {
@@ -364,45 +364,36 @@ fuzzedFleetShape(uint64_t seed)
 uint64_t
 fleetResultDigest(const FleetResult &r)
 {
-    uint64_t h = 0xcbf29ce484222325ULL; // FNV-1a offset basis
-    auto mix = [&](uint64_t word) {
-        for (int byte = 0; byte < 8; ++byte) {
-            h ^= (word >> (8 * byte)) & 0xff;
-            h *= 0x100000001b3ULL; // FNV-1a prime
-        }
-    };
-    auto mixd = [&](double d) { mix(std::bit_cast<uint64_t>(d)); };
-    auto mixi = [&](int64_t i) { mix(static_cast<uint64_t>(i)); };
-
+    Fnv1a h;
     for (int64_t v : {r.offered, r.admitted, r.rejected, r.completed,
                       r.batches, r.scale_ups, r.scale_downs,
                       static_cast<int64_t>(r.verdict),
                       static_cast<int64_t>(r.peak_servers),
                       static_cast<int64_t>(r.final_servers)})
-        mixi(v);
+        h.mixi(v);
     for (double v : {r.duration, r.throughput, r.mean_latency,
                      r.p50_latency, r.p95_latency, r.p99_latency,
                      r.p999_latency, r.max_latency, r.gpu_utilization,
                      r.avg_batch})
-        mixd(v);
-    mixi(static_cast<int64_t>(r.servers.size()));
+        h.mixd(v);
+    h.mixi(static_cast<int64_t>(r.servers.size()));
     for (const inference::ServerStats &s : r.servers) {
-        mixd(s.busy);
-        mixd(s.uptime);
-        mixi(s.batches);
-        mixi(s.items);
+        h.mixd(s.busy);
+        h.mixd(s.uptime);
+        h.mixi(s.batches);
+        h.mixi(s.items);
     }
-    mixi(static_cast<int64_t>(r.requests.size()));
+    h.mixi(static_cast<int64_t>(r.requests.size()));
     for (const RequestRecord &rec : r.requests) {
-        mixd(rec.arrival);
-        mixd(rec.start);
-        mixd(rec.completion);
-        mixi(rec.server);
-        mixi(rec.model);
-        mixi(rec.batch);
-        mixi(rec.rejected);
+        h.mixd(rec.arrival);
+        h.mixd(rec.start);
+        h.mixd(rec.completion);
+        h.mixi(rec.server);
+        h.mixi(rec.model);
+        h.mixi(rec.batch);
+        h.mixi(rec.rejected);
     }
-    return h;
+    return h.value();
 }
 
 std::optional<FleetFuzzFailure>

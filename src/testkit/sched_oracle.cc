@@ -9,6 +9,7 @@
 #include "core/analytical_model.h"
 #include "hw/hardware_config.h"
 #include "stats/rng.h"
+#include "testkit/digest.h"
 
 namespace paichar::testkit {
 
@@ -209,6 +210,38 @@ checkSchedInvariants(const std::vector<JobRequest> &requests,
         }
     }
     return std::nullopt;
+}
+
+uint64_t
+schedOutcomeDigest(const ClusterOutcome &out)
+{
+    Fnv1a h;
+    h.mixi(static_cast<int64_t>(out.jobs.size()));
+    for (const JobOutcome &jo : out.jobs) {
+        h.mixi(jo.job_id);
+        h.mixd(jo.submit_time);
+        h.mixd(jo.start_time);
+        h.mixd(jo.finish_time);
+        h.mixi(jo.gpus);
+        h.mixi(static_cast<int64_t>(jo.executed_arch));
+        h.mixi(jo.ported);
+        h.mixd(jo.step_s);
+        h.mixi(jo.num_steps);
+        h.mixd(jo.predicted_run_s);
+        h.mixi(jo.preemptions);
+        h.mixi(static_cast<int64_t>(jo.segments.size()));
+        for (auto [start, end] : jo.segments) {
+            h.mixd(start);
+            h.mixd(end);
+        }
+    }
+    for (double v :
+         {out.makespan, out.mean_wait, out.p95_wait, out.gpu_utilization})
+        h.mixd(v);
+    for (int64_t v :
+         {out.ported_jobs, out.preemptions, out.unplaceable_jobs})
+        h.mixi(v);
+    return h.value();
 }
 
 std::optional<std::string>

@@ -78,6 +78,14 @@ std::optional<std::string>
 checkAgainstFifo(const clustersim::ClusterOutcome &policy_out,
                  const clustersim::ClusterOutcome &fifo_out);
 
+/**
+ * 64-bit FNV-1a digest of everything a run reports: every JobOutcome
+ * field of @p out (preemption segments included), in outcome order,
+ * and every aggregate, doubles by bit pattern. Two runs digest equal
+ * only when their outcomes are ==-identical.
+ */
+uint64_t schedOutcomeDigest(const clustersim::ClusterOutcome &out);
+
 /** A shrunk scheduler-fuzz counterexample. */
 struct SchedFuzzFailure
 {

@@ -109,6 +109,19 @@ TEST(CliTest, NonNumericFlagValueFails)
     EXPECT_NE(r.err.find("abc"), std::string::npos);
 }
 
+TEST(CliTest, GenerateRejectsBadJobCountsBeforePrinting)
+{
+    for (const char *bad : {"-1", "nan", "inf", "2.5", "1e300"}) {
+        auto r = runCli({"generate", "--jobs", bad});
+        EXPECT_EQ(r.code, 1) << bad;
+        EXPECT_EQ(r.out, "") << bad;
+        EXPECT_EQ(r.err.rfind("error: flag --jobs", 0), 0u)
+            << bad << ": " << r.err;
+        EXPECT_EQ(std::count(r.err.begin(), r.err.end(), '\n'), 1)
+            << bad << ": " << r.err;
+    }
+}
+
 TEST(CliTest, TrailingGarbageInFlagValueFails)
 {
     auto r = runCli({"generate", "--jobs", "10x"});
@@ -589,6 +602,35 @@ TEST_F(CliWithTraceTest, ScheduleReportsQueueingMetrics)
     EXPECT_NE(r.out.find("GPU utilization"), std::string::npos);
     EXPECT_NE(r.out.find("ported jobs"), std::string::npos);
     EXPECT_NE(r.out.find("policy: backfill"), std::string::npos);
+}
+
+// Cluster-shape and rate flags are checked before the trace loads
+// or anything prints: one error line, exit 1. (0 is a valid
+// --nvlink-frac and 2.5 a valid --rate; both run.)
+TEST_F(CliWithTraceTest, ScheduleRejectsBadClusterFlagsBeforePrinting)
+{
+    const std::vector<std::pair<std::string, std::vector<std::string>>>
+        cases = {{"--servers", {"0", "-3", "nan", "inf", "2.5"}},
+                 {"--nvlink-frac", {"-3", "nan", "inf", "2.5"}},
+                 {"--rate", {"0", "-3", "nan", "inf"}}};
+    for (const auto &[flag, bads] : cases) {
+        for (const std::string &bad : bads) {
+            auto r = runCli({"schedule", path_, flag, bad});
+            std::string what = flag + " " + bad;
+            EXPECT_EQ(r.code, 1) << what;
+            EXPECT_EQ(r.out, "") << what;
+            EXPECT_EQ(r.err.rfind("error: flag " + flag, 0), 0u)
+                << what << ": " << r.err;
+            EXPECT_EQ(std::count(r.err.begin(), r.err.end(), '\n'), 1)
+                << what << ": " << r.err;
+        }
+    }
+    for (const auto &[flag, ok] :
+         {std::pair<std::string, std::string>{"--nvlink-frac", "0"},
+          {"--rate", "2.5"}}) {
+        auto r = runCli({"schedule", path_, flag, ok});
+        EXPECT_EQ(r.code, 0) << flag << " " << ok << ": " << r.err;
+    }
 }
 
 TEST_F(CliWithTraceTest, ScheduleRejectsUnknownPolicyListingValidSet)

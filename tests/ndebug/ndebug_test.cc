@@ -17,7 +17,10 @@
  *    run arguments by throwing — the pre-fix asserts vanished under
  *    NDEBUG and let qps = 0 divide into NaN;
  *  - the exponential sampler clamps a closed-interval uniform draw
- *    instead of emitting an infinite inter-arrival gap.
+ *    instead of emitting an infinite inter-arrival gap;
+ *  - the cluster scheduler and its Poisson submission stream validate
+ *    their configs by throwing — the pre-fix asserts vanished under
+ *    NDEBUG and let zero servers or a zero rate run silently.
  */
 
 #include <gtest/gtest.h>
@@ -31,6 +34,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "clustersim/scheduler.h"
+#include "hw/hardware_config.h"
 #include "inference/fleet_sim.h"
 #include "obs/obs.h"
 #include "obs/timeline.h"
@@ -312,6 +317,38 @@ TEST(NdebugTimelineTest, SloAutoscalerValidationThrowsUnderNdebug)
     bad.autoscaler.slo_latency = kNan;
     EXPECT_THROW(inference::FleetSimulator{bad},
                  std::invalid_argument);
+}
+
+TEST(NdebugSchedulerTest, ConfigValidationThrowsUnderNdebug)
+{
+    core::AnalyticalModel model(hw::paiCluster());
+    auto rejects = [&](auto edit) {
+        clustersim::SchedulerConfig cfg;
+        edit(cfg);
+        EXPECT_THROW(clustersim::ClusterScheduler(cfg, model),
+                     std::invalid_argument);
+    };
+    rejects([](auto &c) { c.num_servers = 0; });
+    rejects([](auto &c) { c.gpus_per_server = -1; });
+    rejects([](auto &c) { c.nvlink_fraction = 2.0; });
+    rejects([](auto &c) { c.nvlink_fraction = kNan; });
+    rejects([](auto &c) { c.old_gen_fraction = -0.5; });
+    rejects([](auto &c) { c.preempt_ratio = 1.0; });
+    rejects([](auto &c) { c.preempt_ratio = kNan; });
+    EXPECT_NO_THROW(
+        clustersim::ClusterScheduler(clustersim::SchedulerConfig{}, model));
+
+    std::vector<workload::TrainingJob> jobs(3);
+    for (double rate : {0.0, -5.0, kNan, kInf})
+        EXPECT_THROW(clustersim::poissonRequests(jobs, rate, 100.0, 1.0, 1),
+                     std::invalid_argument)
+            << rate;
+    EXPECT_THROW(clustersim::poissonRequests(jobs, 10.0, 0.5, 1.0, 1),
+                 std::invalid_argument);
+    EXPECT_THROW(clustersim::poissonRequests(jobs, 10.0, 100.0, -1.0, 1),
+                 std::invalid_argument);
+    EXPECT_EQ(clustersim::poissonRequests(jobs, 10.0, 100.0, 1.0, 1).size(),
+              3u);
 }
 
 } // namespace
