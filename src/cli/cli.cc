@@ -415,7 +415,8 @@ cmdGenerate(const Args &args, std::ostream &out, std::ostream &err)
 {
     auto jobs_n = static_cast<size_t>(
         args.intFlag("jobs", 20000, 0, int64_t{1} << 53));
-    auto seed = static_cast<uint64_t>(args.numFlag("seed", 20181201));
+    auto seed = static_cast<uint64_t>(
+        args.intFlag("seed", 20181201, 0, int64_t{1} << 53));
     auto out_file = args.flag("out");
     // Like convert: the --out extension picks the format (.paib/.bin
     // = binary), --trace-format overrides.
@@ -589,7 +590,8 @@ cmdAdvise(const Args &args, std::ostream &out, std::ostream &err)
 {
     TrainingJob job;
     job.arch = ArchType::PsWorker;
-    job.num_cnodes = static_cast<int>(args.numFlag("cnodes", 8));
+    job.num_cnodes = static_cast<int>(args.intFlag(
+        "cnodes", 8, 1, std::numeric_limits<int>::max()));
     job.features.batch_size = args.numFlag("batch", 256);
     job.features.flop_count = args.numFlag("flops", -1);
     job.features.mem_access_bytes = args.numFlag("mem", -1);
@@ -615,11 +617,24 @@ cmdAdvise(const Args &args, std::ostream &out, std::ostream &err)
     }
 
     double gpu_mem = args.numFlag("gpu-mem", 32e9);
+    if (!(gpu_mem > 0.0) || !std::isfinite(gpu_mem)) {
+        err << "error: --gpu-mem must be a positive finite number of "
+               "bytes\n";
+        return 1;
+    }
     core::AnalyticalModel model(hw::v100Testbed());
     core::ArchitectureAdvisor advisor(model, gpu_mem);
+    // evaluate() puts the feasible options first, best first; with
+    // none feasible there is nothing to recommend.
+    auto options = advisor.evaluate(job);
+    if (!options.front().feasible) {
+        err << "error: no architecture fits the per-GPU memory budget "
+               "(--gpu-mem)\n";
+        return 1;
+    }
     stats::Table t({"architecture", "cNodes", "per-GPU weights",
                     "step time", "throughput", "feasible"});
-    for (const auto &opt : advisor.evaluate(job)) {
+    for (const auto &opt : options) {
         t.addRow({workload::toString(opt.arch),
                   std::to_string(opt.num_cnodes),
                   stats::fmtBytes(opt.per_gpu_weight_bytes),
@@ -631,7 +646,7 @@ cmdAdvise(const Args &args, std::ostream &out, std::ostream &err)
                   opt.feasible ? "yes" : "no: " + opt.reason});
     }
     out << t.render();
-    auto best = advisor.recommend(job);
+    const auto &best = options.front();
     out << "recommendation: " << workload::toString(best.arch)
         << " with " << best.num_cnodes << " cNodes\n";
     return 0;

@@ -1,7 +1,7 @@
 #include "arch_feasibility.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 
 namespace paichar::core {
 
@@ -13,9 +13,15 @@ resolvePlacement(const WorkloadFeatures &f, ArchType arch,
                  int requested_cnodes, const hw::ServerSpec &server,
                  double gpu_memory_bytes, int partition_ways)
 {
-    assert(requested_cnodes >= 1);
-    assert(partition_ways >= 1);
-    assert(gpu_memory_bytes > 0.0);
+    // Real checks, not asserts: the values arrive from CLI flags and
+    // must fail the same way in NDEBUG builds.
+    if (requested_cnodes < 1)
+        throw std::invalid_argument("requested cNodes must be >= 1");
+    if (partition_ways < 1)
+        throw std::invalid_argument("partition ways must be >= 1");
+    if (!(gpu_memory_bytes > 0.0))
+        throw std::invalid_argument(
+            "per-GPU memory budget must be positive");
 
     Placement p;
     p.arch = arch;

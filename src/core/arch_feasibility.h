@@ -63,6 +63,8 @@ struct Placement
  *                         NVLink, so ways > 1 requires NVLink and
  *                         ways <= gpus_per_server; the resolved
  *                         cNode count is a multiple of ways.
+ * @throws std::invalid_argument when requested_cnodes < 1,
+ *         partition_ways < 1 or gpu_memory_bytes is not positive.
  */
 Placement resolvePlacement(const workload::WorkloadFeatures &f,
                            workload::ArchType arch,

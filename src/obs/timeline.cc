@@ -91,6 +91,13 @@ struct Timeline::Slot
     Level level;
     Rate rate;
     Quantile quantile;
+    /**
+     * A quantile probe's `<name>.count`/`.p50`/`.p99` row names,
+     * built once at registration so its rows can view them.
+     */
+    std::string count_name;
+    std::string p50_name;
+    std::string p99_name;
 };
 
 Timeline::Timeline(double interval_s) : interval_(interval_s)
@@ -111,8 +118,14 @@ Timeline::slot(std::string_view name, int kind)
         auto inserted = slots_.emplace(std::string(name),
                                        std::make_unique<Slot>());
         it = inserted.first;
-        it->second->kind = kind;
-        it->second->start_window = next_window_;
+        Slot &s = *it->second;
+        s.kind = kind;
+        s.start_window = next_window_;
+        if (kind == kQuantile) {
+            s.count_name = it->first + ".count";
+            s.p50_name = it->first + ".p50";
+            s.p99_name = it->first + ".p99";
+        }
     } else if (it->second->kind != kind) {
         throw std::logic_error(
             "timeline probe '" + std::string(name) +
@@ -168,15 +181,13 @@ Timeline::closeWindow()
             if (next_window_ < s->start_window)
                 break;
             auto &samples = s->quantile.samples_;
-            rows_.push_back({end, name + ".count",
+            rows_.push_back({end, s->count_name,
                              static_cast<double>(samples.size())});
             if (!samples.empty()) {
-                rows_.push_back(
-                    {end, name + ".p50",
-                     nearestRankQuantile(samples, 0.50)});
-                rows_.push_back(
-                    {end, name + ".p99",
-                     nearestRankQuantile(samples, 0.99)});
+                rows_.push_back({end, s->p50_name,
+                                 nearestRankQuantile(samples, 0.50)});
+                rows_.push_back({end, s->p99_name,
+                                 nearestRankQuantile(samples, 0.99)});
             }
             samples.clear();
             break;
@@ -233,9 +244,23 @@ Timeline::renderCsv() const
     std::string out = "# paichar timeline v1 interval_s ";
     appendJsonNumber(out, interval_);
     out += "\nend_s,series,value\n";
+    // Rows arrive window by window, so end_s is formatted once per
+    // window and copied into each of its rows. The reserve covers
+    // the names, separators and a typical short value.
+    size_t bytes = out.size();
+    for (const auto &row : rows_)
+        bytes += row.series.size() + 24;
+    out.reserve(bytes);
+    std::string end_text;
+    double end_s = std::numeric_limits<double>::quiet_NaN();
     for (const auto &row : rows_) {
-        appendJsonNumber(out, row.end_s);
-        out += ',';
+        if (!(row.end_s == end_s)) {
+            end_s = row.end_s;
+            end_text.clear();
+            appendJsonNumber(end_text, end_s);
+            end_text += ',';
+        }
+        out += end_text;
         out += row.series;
         out += ',';
         appendJsonNumber(out, row.value);
@@ -249,7 +274,8 @@ Timeline::renderJson() const
 {
     // Group rows by series, preserving the (already sorted) time
     // order within each.
-    std::map<std::string, std::vector<const TimelineRow *>> by_series;
+    std::map<std::string_view, std::vector<const TimelineRow *>>
+        by_series;
     for (const auto &row : rows_)
         by_series[row.series].push_back(&row);
 

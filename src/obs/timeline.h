@@ -71,11 +71,15 @@ inline constexpr const char *kTimelineSchema = "paichar.timeline.v1";
  */
 double nearestRankQuantile(std::vector<double> samples, double q);
 
-/** One emitted sample: series value at the window ending at end_s. */
+/**
+ * One emitted sample: series value at the window ending at end_s.
+ * `series` views a name owned by the probe that emitted the row, so
+ * a row costs no allocation; the view lives as long as its Timeline.
+ */
 struct TimelineRow
 {
     double end_s = 0.0;
-    std::string series;
+    std::string_view series;
     double value = 0.0;
 };
 
@@ -180,7 +184,12 @@ class Timeline
      */
     void finalize();
 
-    /** All emitted rows, in (window, probe-name) order. */
+    /**
+     * All emitted rows, in (window, probe-name) order. Each row's
+     * `series` views a name this Timeline owns: it dangles once the
+     * Timeline is destroyed, which for the process-wide timeline
+     * happens at the next startTimeline().
+     */
     const std::vector<TimelineRow> &
     rows() const
     {

@@ -365,23 +365,21 @@ EventQueue::run()
         while (refillFront())
             executeTop();
     }
-    finishDrain(span, executed_ - before);
+    finishDrain(executed_ - before);
+    span.setArg(static_cast<int64_t>(executed_ - before));
     return now_;
 }
 
 SimTime
 EventQueue::runUntil(SimTime until)
 {
-    // A poll with nothing due only moves the clock. It opens no span,
-    // so a control loop that polls at every arrival does not flood
-    // the profile.
+    // A poll with nothing due only moves the clock.
     if (nextEventTime() > until) {
         if (obs::timelineActive())
             drainTimed(until);
         advanceTo(until);
         return now_;
     }
-    obs::Span span("sim.run_until");
     uint64_t before = executed_;
     if (obs::timelineActive()) {
         drainTimed(until);
@@ -391,12 +389,12 @@ EventQueue::runUntil(SimTime until)
     }
     if (now_ < until)
         now_ = until;
-    finishDrain(span, executed_ - before);
+    finishDrain(executed_ - before);
     return now_;
 }
 
 void
-EventQueue::finishDrain(obs::Span &span, uint64_t executed_delta)
+EventQueue::finishDrain(uint64_t executed_delta)
 {
     executedCounter().add(executed_delta);
     // Saturate rather than cast: now_ * 1e6 overflows int64 for
@@ -409,7 +407,6 @@ EventQueue::finishDrain(obs::Span &span, uint64_t executed_delta)
     simTimeGauge().set(us >= kMaxUs
                            ? std::numeric_limits<int64_t>::max()
                            : static_cast<int64_t>(us));
-    span.setArg(static_cast<int64_t>(executed_delta));
 }
 
 } // namespace paichar::sim

@@ -41,10 +41,6 @@
 #include <memory>
 #include <vector>
 
-namespace paichar::obs {
-class Span;
-}
-
 namespace paichar::sim {
 
 /** Simulated time in seconds. */
@@ -89,7 +85,12 @@ class EventQueue
      */
     SimTime run();
 
-    /** Run events with time <= @p until; pending later events remain. */
+    /**
+     * Run events with time <= @p until; pending later events remain.
+     * Opens no span: control loops call this once per arrival, and a
+     * span per call would grow the profile with the job count. The
+     * drain still counts into `sim.events_executed`/`sim.time_us`.
+     */
     SimTime runUntil(SimTime until);
 
     /**
@@ -137,8 +138,8 @@ class EventQueue
      */
     void drainTimed(SimTime until);
 
-    /** Record per-drain obs metrics and close the drain span. */
-    void finishDrain(obs::Span &span, uint64_t executed_delta);
+    /** Record per-drain obs metrics (events executed, sim time). */
+    void finishDrain(uint64_t executed_delta);
 
     // -- Arena: handler slots, addressed by 32-bit index. ----------
     static constexpr uint32_t kBlockShift = 10;

@@ -122,6 +122,24 @@ TEST(CliTest, GenerateRejectsBadJobCountsBeforePrinting)
     }
 }
 
+// --seed picks the whole trace, so a value that is no exact seed
+// (NaN, negative, fractional, beyond 2^53) must fail instead of
+// silently casting to some other seed.
+TEST(CliTest, GenerateRejectsBadSeedsBeforePrinting)
+{
+    for (const char *bad : {"nan", "-1", "1.5", "1e300"}) {
+        auto r = runCli({"generate", "--jobs", "3", "--seed", bad});
+        EXPECT_EQ(r.code, 1) << bad;
+        EXPECT_EQ(r.out, "") << bad;
+        EXPECT_EQ(r.err.rfind("error: flag --seed", 0), 0u)
+            << bad << ": " << r.err;
+        EXPECT_EQ(std::count(r.err.begin(), r.err.end(), '\n'), 1)
+            << bad << ": " << r.err;
+    }
+    auto ok = runCli({"generate", "--jobs", "3", "--seed", "0"});
+    EXPECT_EQ(ok.code, 0) << ok.err;
+}
+
 TEST(CliTest, TrailingGarbageInFlagValueFails)
 {
     auto r = runCli({"generate", "--jobs", "10x"});
@@ -310,6 +328,51 @@ TEST(CliTest, AdviseRequiresDemands)
     auto r = runCli({"advise", "--flops", "1e12"});
     EXPECT_EQ(r.code, 1);
     EXPECT_NE(r.err.find("requires"), std::string::npos);
+}
+
+// advise's --cnodes and --gpu-mem reach resolvePlacement, which
+// throws on non-positive values; the CLI rejects them first with one
+// error line.
+TEST(CliTest, AdviseRejectsBadCnodesAndGpuMemory)
+{
+    const std::vector<std::string> demands = {
+        "advise", "--flops", "1e12", "--mem", "1e10",
+        "--input", "1e6", "--comm", "1e8"};
+    struct Case
+    {
+        const char *flag;
+        const char *value;
+        const char *error;
+    };
+    for (const Case &c :
+         {Case{"--cnodes", "0", "error: flag --cnodes"},
+          Case{"--cnodes", "-3", "error: flag --cnodes"},
+          Case{"--cnodes", "nan", "error: flag --cnodes"},
+          Case{"--cnodes", "2.5", "error: flag --cnodes"},
+          Case{"--cnodes", "1e300", "error: flag --cnodes"},
+          Case{"--gpu-mem", "0", "error: --gpu-mem"},
+          Case{"--gpu-mem", "-1", "error: --gpu-mem"},
+          Case{"--gpu-mem", "nan", "error: --gpu-mem"},
+          Case{"--gpu-mem", "inf", "error: --gpu-mem"},
+          // Positive but too small for any architecture's weights.
+          Case{"--gpu-mem", "1", "error: no architecture fits"}}) {
+        auto args = demands;
+        args.push_back(c.flag);
+        args.push_back(c.value);
+        auto r = runCli(args);
+        std::string what = std::string(c.flag) + " " + c.value;
+        EXPECT_EQ(r.code, 1) << what;
+        EXPECT_EQ(r.out, "") << what;
+        EXPECT_EQ(r.err.rfind(c.error, 0), 0u) << what << ": " << r.err;
+        EXPECT_EQ(std::count(r.err.begin(), r.err.end(), '\n'), 1)
+            << what << ": " << r.err;
+    }
+    auto args = demands;
+    args.push_back("--cnodes");
+    args.push_back("1");
+    auto ok = runCli(args);
+    EXPECT_EQ(ok.code, 0) << ok.err;
+    EXPECT_NE(ok.out.find("recommendation:"), std::string::npos);
 }
 
 TEST(CliTest, DiagnoseCaseStudyModel)

@@ -20,7 +20,10 @@
  *    instead of emitting an infinite inter-arrival gap;
  *  - the cluster scheduler and its Poisson submission stream validate
  *    their configs by throwing — the pre-fix asserts vanished under
- *    NDEBUG and let zero servers or a zero rate run silently.
+ *    NDEBUG and let zero servers or a zero rate run silently;
+ *  - resolvePlacement rejects zero cNodes, zero partition ways and a
+ *    non-positive GPU memory budget by throwing (`advise --cnodes 0`
+ *    reached an assert).
  */
 
 #include <gtest/gtest.h>
@@ -35,6 +38,7 @@
 #include <string>
 
 #include "clustersim/scheduler.h"
+#include "core/arch_feasibility.h"
 #include "hw/hardware_config.h"
 #include "inference/fleet_sim.h"
 #include "obs/obs.h"
@@ -349,6 +353,31 @@ TEST(NdebugSchedulerTest, ConfigValidationThrowsUnderNdebug)
                  std::invalid_argument);
     EXPECT_EQ(clustersim::poissonRequests(jobs, 10.0, 100.0, 1.0, 1).size(),
               3u);
+}
+
+TEST(NdebugPlacementTest, ResolvePlacementRejectsBadArgumentsByThrowing)
+{
+    workload::WorkloadFeatures f;
+    f.dense_weight_bytes = 1e8;
+    const hw::ServerSpec server = hw::paiCluster().server;
+    using workload::ArchType;
+    for (int cnodes : {0, -1})
+        EXPECT_THROW(core::resolvePlacement(f, ArchType::PsWorker, cnodes,
+                                            server, 32e9),
+                     std::invalid_argument)
+            << cnodes;
+    EXPECT_THROW(core::resolvePlacement(f, ArchType::AllReduceCluster, 8,
+                                        server, 32e9, 0),
+                 std::invalid_argument);
+    for (double mem : {0.0, -1.0, kNan})
+        EXPECT_THROW(core::resolvePlacement(f, ArchType::PsWorker, 8,
+                                            server, mem),
+                     std::invalid_argument)
+            << mem;
+    core::Placement ok =
+        core::resolvePlacement(f, ArchType::PsWorker, 8, server, 32e9);
+    EXPECT_TRUE(ok.feasible);
+    EXPECT_EQ(ok.num_cnodes, 8);
 }
 
 } // namespace
